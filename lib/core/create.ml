@@ -47,11 +47,7 @@ let resolve_node config ~stats g row (np : node_pat) =
       let props = Eval.eval_props (ctx_of config g row) np.np_props in
       let id, g = Graph.create_node ~labels:np.np_labels ~props g in
       Stats.node_created stats id;
-      let row =
-        match np.np_var with
-        | None -> row
-        | Some v -> Record.bind row v (Value.Node id)
-      in
+      Option.iter (fun v -> Record.set row v (Value.Node id)) np.np_var;
       (g, row, id)
 
 let create_rel config ~stats g row (rp : rel_pat) ~src ~tgt =
@@ -75,11 +71,7 @@ let create_rel config ~stats g row (rp : rel_pat) ~src ~tgt =
   let props = Eval.eval_props (ctx_of config g row) rp.rp_props in
   let id, g = Graph.create_rel ~src ~tgt ~r_type ~props g in
   Stats.rel_created stats id;
-  let row =
-    match rp.rp_var with
-    | None -> row
-    | Some v -> Record.bind row v (Value.Rel id)
-  in
+  Option.iter (fun v -> Record.set row v (Value.Rel id)) rp.rp_var;
   (g, row, id)
 
 (** Instantiates one pattern for one record. *)
@@ -97,34 +89,38 @@ let create_pattern config ~stats g row (p : pattern) =
       (g, row, [ start_id ], [])
       p.pat_steps
   in
-  let row =
-    match p.pat_var with
-    | None -> row
-    | Some v ->
-        Record.bind row v
-          (Value.Path
-             {
-               Value.path_nodes = List.rev nodes_rev;
-               path_rels = List.rev rels_rev;
-             })
-  in
+  Option.iter
+    (fun v ->
+      Record.set row v
+        (Value.Path
+           {
+             Value.path_nodes = List.rev nodes_rev;
+             path_rels = List.rev rels_rev;
+           }))
+    p.pat_var;
   (g, row)
 
-let create_row config ~stats g row patterns =
+(* Each record's pattern variables are bound in place on one private
+   row over the clause's output layout: a snapshot's single CREATE binds
+   one variable per node, and a copying bind per variable would be
+   quadratic in the size of the pattern. *)
+let create_row config ~stats ~layout g row patterns =
   List.fold_left
     (fun (g, row) p -> create_pattern config ~stats g row p)
-    (g, row) patterns
+    (g, Record.builder layout row)
+    patterns
 
 (** [run config ~stats (g, t) patterns] is [[CREATE π]](G, T). *)
 let run config ~stats (g, t) (patterns : pattern list) =
+  let new_columns =
+    Table.columns t @ List.concat_map pattern_vars patterns
+  in
+  let layout = Slots.of_names new_columns in
   let g, rows_rev =
     List.fold_left
       (fun (g, acc) row ->
-        let g, row = create_row config ~stats g row patterns in
+        let g, row = create_row config ~stats ~layout g row patterns in
         (g, row :: acc))
       (g, []) (Table.rows t)
-  in
-  let new_columns =
-    Table.columns t @ List.concat_map pattern_vars patterns
   in
   (g, Table.make new_columns (List.rev rows_rev))

@@ -12,11 +12,15 @@ open Cypher_graph
 open Cypher_table
 open Cypher_ast.Ast
 
-(** [create_row config g row patterns] instantiates the pattern tuple
-    once, for a single record; used by legacy MERGE's create branch. *)
+(** [create_row config ~layout g row patterns] instantiates the pattern
+    tuple once, for a single record; used by legacy MERGE's create
+    branch.  [layout] is the clause's output layout — the record's
+    columns followed by the pattern variables — compiled once per
+    clause. *)
 val create_row :
   Config.t ->
   stats:Stats.collector ->
+  layout:Slots.t ->
   Graph.t -> Record.t -> pattern list -> Graph.t * Record.t
 
 (** [run config (g, t) patterns] is [[CREATE π]](G, T). *)

@@ -52,6 +52,8 @@ let apply_set_legacy config ~stats g rows items =
 
 let run_legacy config ~stats (g, t) ~patterns ~on_create ~on_match =
   let rows = Config.arrange_rows config (Table.rows t) in
+  let columns = Table.columns t @ List.concat_map pattern_vars patterns in
+  let layout = Slots.of_names columns in
   let g, out_rows_rev =
     List.fold_left
       (fun (g, acc) row ->
@@ -63,13 +65,12 @@ let run_legacy config ~stats (g, t) ~patterns ~on_create ~on_match =
         end
         else begin
           Stats.merge_created stats 1;
-          let g, row' = Create.create_row config ~stats g row patterns in
+          let g, row' = Create.create_row config ~stats ~layout g row patterns in
           let g = apply_set_legacy config ~stats g [ row' ] on_create in
           (g, row' :: acc)
         end)
       (g, []) rows
   in
-  let columns = Table.columns t @ List.concat_map pattern_vars patterns in
   (g, Table.make columns (List.rev out_rows_rev))
 
 (* ------------------------------------------------------------------ *)

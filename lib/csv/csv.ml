@@ -124,6 +124,7 @@ let table_of_string ?(typed = true) src : Table.t =
         else if s = "" then Value.Null
         else Value.String s
       in
+      let layout = Slots.of_names header in
       let to_record i fields =
         if List.length fields <> List.length header then
           raise
@@ -135,9 +136,9 @@ let table_of_string ?(typed = true) src : Table.t =
                  line = i + 2;
                })
         else
-          List.fold_left2
-            (fun r k v -> Record.bind r k (convert v))
-            Record.empty header fields
+          let r = Record.builder layout Record.empty in
+          List.iter2 (fun k v -> Record.set r k (convert v)) header fields;
+          r
       in
       Table.make header (List.mapi to_record rows)
 

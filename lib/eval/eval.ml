@@ -243,10 +243,9 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
       match eval ctx comp_source with
       | Value.Null -> Value.Null
       | Value.List l ->
+          let row = Cypher_table.Record.widen ctx.row [ comp_var ] in
           let per_elem x =
-            let ctx' =
-              { ctx with row = Cypher_table.Record.bind ctx.row comp_var x }
-            in
+            let ctx' = { ctx with row = Cypher_table.Record.bind row comp_var x } in
             let keep =
               match comp_where with
               | None -> true
@@ -264,11 +263,10 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
       match eval ctx q_source with
       | Value.Null -> Value.Null
       | Value.List l ->
+          let row = Cypher_table.Record.widen ctx.row [ q_var ] in
           let pred x =
             truth
-              (eval
-                 { ctx with row = Cypher_table.Record.bind ctx.row q_var x }
-                 q_pred)
+              (eval { ctx with row = Cypher_table.Record.bind row q_var x } q_pred)
           in
           let ts = List.map pred l in
           let any = List.fold_left Tri.disj Tri.False ts in
@@ -295,11 +293,12 @@ let rec eval (ctx : Ctx.t) (e : expr) : Value.t =
       match eval ctx red_source with
       | Value.Null -> Value.Null
       | Value.List l ->
+          let base = Cypher_table.Record.widen ctx.row [ red_acc; red_var ] in
           List.fold_left
             (fun acc x ->
               let row =
                 Cypher_table.Record.bind
-                  (Cypher_table.Record.bind ctx.row red_acc acc)
+                  (Cypher_table.Record.bind base red_acc acc)
                   red_var x
               in
               eval { ctx with row } red_body)
@@ -347,8 +346,9 @@ and eval_agg (ctx : Ctx.t) kind distinct arg : Value.t =
          shape — reads each row directly: same lookup and same error as
          the Var case of [eval], without allocating a per-row context.
          The lookup is layout-compiled against the first row
-         ({!Cypher_table.Record.compile_find}), so a slot-row group
-         reads each row by array probe instead of name resolution. *)
+         ({!Cypher_table.Record.compile_find}), so a group whose rows
+         share a layout reads each row by array probe instead of name
+         resolution. *)
       let compiled_find v =
         match rows with
         | [] -> fun row -> Cypher_table.Record.find_opt row v

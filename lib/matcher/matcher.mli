@@ -61,7 +61,7 @@ val match_patterns_rev :
     invocation layout, so the engine may adopt them without a
     consistency projection ({!Cypher_table.Table.of_consistent}).
     [None] when the shape doesn't qualify (several patterns, no plan,
-    map rows, property predicates, persistent backend); callers fall
+    property predicates, persistent backend); callers fall
     back to {!match_patterns_rev}. *)
 val match_patterns_natural :
   ?mode:mode ->

@@ -31,14 +31,38 @@ let unregister t fd =
   t.conns <- List.filter (fun c -> c <> fd) t.conns;
   Mutex.unlock t.lock
 
+let max_request_line = 1 lsl 20
+
+(* [read_line ic] is the next request line without its terminator, as
+   [input_line] reads it, but never holds more than [max_request_line]
+   bytes of it: a client streaming without a newline is refused instead
+   of buffered until the server runs out of memory. *)
+let read_line ic =
+  let line = Buffer.create 128 in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents line)
+    | c when Buffer.length line < max_request_line ->
+        Buffer.add_char line c;
+        go ()
+    | _ -> `Too_long
+    | exception End_of_file ->
+        if Buffer.length line = 0 then `Eof else `Line (Buffer.contents line)
+  in
+  go ()
+
 let serve_conn t (service : Service.t) fd =
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
   (try
      let rec loop () =
-       match input_line ic with
-       | exception End_of_file -> ()
-       | line ->
+       match read_line ic with
+       | `Eof -> ()
+       | `Too_long ->
+           Printf.fprintf oc "ERR request line longer than %d bytes\n"
+             max_request_line;
+           flush oc
+       | `Line line ->
            List.iter
              (fun l ->
                output_string oc l;

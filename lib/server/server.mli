@@ -15,6 +15,11 @@ val start :
   unit ->
   (t, string) result
 
+(** The longest request line a connection may send, terminator
+    excluded (1 MiB).  A longer line is answered with one [ERR] line and
+    the connection is closed; the others are unaffected. *)
+val max_request_line : int
+
 (** The actually bound port. *)
 val port : t -> int
 

@@ -4,297 +4,206 @@
     In Cypher the records of a table are *consistent*: they share the same
     set of keys (the table's columns); {!Table} maintains that invariant.
 
-    Two physical representations serve the same observable map:
+    Physically a record is a flat value array over a compiled {!Slots}
+    layout — the driving-table definition of Section 8.1 made concrete:
+    the rows of one clause share one layout, compiled once at the clause
+    boundary, so binding an in-layout name is an array copy plus an
+    index store and a lookup is an index load.  A slot may hold
+    {!Slots.absent} (physically unique, compared with [==]) while its
+    variable is not bound — unbound, and distinct from an explicit
+    [Null] binding.
 
-    - [Rec]: a persistent string-keyed map — the general form; every
-      record can be one, and update clauses, legacy mode and ad-hoc
-      construction always produce one.
-    - [Arr]: a flat value array over a compiled {!Slots} layout — the
-      slot-compiled form the engine seeds at read-clause boundaries when
-      [Config.rows = `Slots].  Binding an in-layout name is an array
-      copy plus an index store; lookup is an index load.  A slot may
-      hold {!Slots.absent} (physically unique, compared with [==]) when
-      the variable is not yet bound — observationally identical to the
-      name being absent from a [Rec], and distinct from an explicit
-      [Null] binding.
+    This module is the only one that knows the row format.  Observable
+    orderings (keys, bindings, comparison, printing) follow ascending
+    name order through the layout's sorted permutation, whatever the
+    slot order, so two rows binding the same names in different slot
+    orders are indistinguishable. *)
 
-    Every accessor dispatches, so the two forms are interchangeable
-    anywhere; observable orderings (keys, bindings, comparison,
-    printing) follow ascending name order in both, which is what keeps
-    the slot path byte-identical to the map path. *)
-
-open Cypher_util.Maps
 open Cypher_graph
 
-type t =
-  | Rec of Value.t Smap.t
-  | Arr of { tab : Slots.t; cells : Value.t array }
+type t = { tab : Slots.t; cells : Value.t array }
 
-let empty : t = Rec Smap.empty
+let empty = { tab = Slots.root; cells = [||] }
 
-let bind (r : t) name v : t =
-  match r with
-  | Rec m -> Rec (Smap.add name v m)
-  | Arr { tab; cells } ->
-      let i = Slots.index tab name in
-      if i >= 0 then begin
-        let cells = Array.copy cells in
-        cells.(i) <- v;
-        Arr { tab; cells }
-      end
-      else
-        (* a name outside the layout (evaluator loop variables, pattern
-           predicates): extend the layout — memoized, so per-row binds
-           of the same variable share one extended table *)
-        let tab = Slots.extend tab name in
-        let n = Array.length cells in
-        let cells' = Array.make (n + 1) v in
-        Array.blit cells 0 cells' 0 n;
-        Arr { tab; cells = cells' }
+let probe cells i =
+  let v = Array.unsafe_get cells i in
+  if v == Slots.absent then None else Some v
 
-let find_opt (r : t) name =
-  match r with
-  | Rec m -> Smap.find_opt name m
-  | Arr { tab; cells } ->
-      let i = Slots.index tab name in
-      if i < 0 then None
-      else
-        let v = Array.unsafe_get cells i in
-        if v == Slots.absent then None else Some v
+let bind r name v =
+  let i = Slots.index r.tab name in
+  if i >= 0 then begin
+    let cells = Array.copy r.cells in
+    cells.(i) <- v;
+    { r with cells }
+  end
+  else
+    (* a name outside the layout (evaluator loop variables, update
+       clauses' new variables): extend the layout — memoized, so per-row
+       binds of the same variable share one extended table *)
+    let tab = Slots.extend r.tab name in
+    let n = Array.length r.cells in
+    let cells = Array.make (n + 1) v in
+    Array.blit r.cells 0 cells 0 n;
+    { tab; cells }
 
-(** [compile_find r0 name] compiles a lookup for [name] against the
-    layout of [r0] — a representative of the rows about to be scanned.
-    On a slot row the index is resolved once; every row sharing that
-    layout (physical test) is then read by a single array probe.  Rows
-    with any other representation fall back to the generic
-    {!find_opt}, so the compiled lookup is sound on arbitrary rows. *)
-let compile_find (r0 : t) name : t -> Value.t option =
-  match r0 with
-  | Arr { tab = tab0; _ } ->
-      let i = Slots.index tab0 name in
-      if i < 0 then fun r -> find_opt r name
-      else fun r ->
-        (match r with
-        | Arr { tab; cells } when tab == tab0 ->
-            let v = Array.unsafe_get cells i in
-            if v == Slots.absent then None else Some v
-        | _ -> find_opt r name)
-  | Rec _ -> fun r -> find_opt r name
+let widen r names =
+  let tab =
+    List.fold_left
+      (fun tab name ->
+        if Slots.index tab name >= 0 then tab else Slots.extend tab name)
+      r.tab names
+  in
+  if tab == r.tab then r
+  else
+    let cells = Array.make (Slots.width tab) Slots.absent in
+    Array.blit r.cells 0 cells 0 (Array.length r.cells);
+    { tab; cells }
 
-(** [find r name] is the value bound to [name], or [Null] when absent
-    (used for consistency padding, e.g. by OPTIONAL MATCH or UNION). *)
-let find (r : t) name =
-  match find_opt r name with Some v -> v | None -> Value.Null
+let find_opt r name =
+  let i = Slots.index r.tab name in
+  if i < 0 then None else probe r.cells i
 
-let mem (r : t) name = find_opt r name <> None
+let compile_find r0 name : t -> Value.t option =
+  let tab0 = r0.tab in
+  let i = Slots.index tab0 name in
+  if i < 0 then fun r -> find_opt r name
+  else fun r -> if r.tab == tab0 then probe r.cells i else find_opt r name
 
-let remove (r : t) name : t =
-  match r with
-  | Rec m -> Rec (Smap.remove name m)
-  | Arr { tab; cells } ->
-      let i = Slots.index tab name in
-      if i < 0 || Array.unsafe_get cells i == Slots.absent then r
-      else begin
-        let cells = Array.copy cells in
-        cells.(i) <- Slots.absent;
-        Arr { tab; cells }
-      end
+let find r name = match find_opt r name with Some v -> v | None -> Value.Null
 
-(* ascending name order in both representations: [Smap] enumerates
-   sorted, and the slot layout carries its sorted index permutation *)
+let mem r name = find_opt r name <> None
 
-let keys (r : t) =
-  match r with
-  | Rec m -> List.rev (Smap.fold (fun k _ acc -> k :: acc) m [])
-  | Arr { tab; cells } ->
-      let sorted = tab.Slots.sorted in
-      let rec go k acc =
-        if k < 0 then acc
-        else
-          let i = Array.unsafe_get sorted k in
-          let acc =
-            if Array.unsafe_get cells i == Slots.absent then acc
-            else Slots.name tab i :: acc
-          in
-          go (k - 1) acc
-      in
-      go (Array.length sorted - 1) []
+(* [fold_sorted f r acc] folds [f name value] over the bound slots of
+   [r] in descending name order, so a consing [f] builds an ascending
+   list *)
+let fold_sorted f r acc =
+  let sorted = r.tab.Slots.sorted in
+  let rec go k acc =
+    if k < 0 then acc
+    else
+      let i = Array.unsafe_get sorted k in
+      let v = Array.unsafe_get r.cells i in
+      go (k - 1) (if v == Slots.absent then acc else f (Slots.name r.tab i) v acc)
+  in
+  go (Array.length sorted - 1) acc
 
-let bindings (r : t) =
-  match r with
-  | Rec m -> Smap.bindings m
-  | Arr { tab; cells } ->
-      let sorted = tab.Slots.sorted in
-      let rec go k acc =
-        if k < 0 then acc
-        else
-          let i = Array.unsafe_get sorted k in
-          let v = Array.unsafe_get cells i in
-          let acc =
-            if v == Slots.absent then acc else (Slots.name tab i, v) :: acc
-          in
-          go (k - 1) acc
-      in
-      go (Array.length sorted - 1) []
+let keys r = fold_sorted (fun k _ acc -> k :: acc) r []
+let bindings r = fold_sorted (fun k v acc -> (k, v) :: acc) r []
 
-let of_list l : t = Rec (smap_of_list l)
+let of_list l =
+  let tab = Slots.of_names (List.map fst l) in
+  let cells = Array.make (Slots.width tab) Slots.absent in
+  List.iter (fun (k, v) -> cells.(Slots.index tab k) <- v) l;
+  { tab; cells }
 
-(** [of_slots tab cells] adopts [cells] as an array row over [tab]
-    without copying; the caller transfers ownership of the array. *)
-let of_slots tab cells : t = Arr { tab; cells }
+let of_slots tab cells = { tab; cells }
 
-(** [slots_view r] exposes the array representation, when [r] has one
-    (the layout and cells are shared — callers must not write). *)
-let slots_view (r : t) =
-  match r with Rec _ -> None | Arr { tab; cells } -> Some (tab, cells)
+let slots_view r = (r.tab, r.cells)
 
-(** [slot_bind r i v] is the conflict-checked bind of slot [i]; see the
-    interface.  The empty-slot case allocates only the copied cells and
-    the row header — no name resolution happens here. *)
-let slot_bind (r : t) i v : t option =
-  match r with
-  | Arr a ->
-      let cur = a.cells.(i) in
-      if cur == Slots.absent then begin
-        let cells = Array.copy a.cells in
-        cells.(i) <- v;
-        Some (Arr { a with cells })
-      end
-      else if Value.equal_strict cur v then Some r
-      else None
-  | Rec _ -> invalid_arg "Record.slot_bind: map-backed row"
+let slot_bind r i v =
+  let cur = r.cells.(i) in
+  if cur == Slots.absent then begin
+    let cells = Array.copy r.cells in
+    cells.(i) <- v;
+    Some { r with cells }
+  end
+  else if Value.equal_strict cur v then Some r
+  else None
 
-(** [seed tab r] re-lays [r] out as an array row over [tab] — the
-    clause-boundary conversion of the slot pipeline.  Layout names
-    unbound in [r] start absent; bindings of [r] outside the layout are
-    dropped (the engine seeds over the clause's full column set, so
-    there are none in practice). *)
-let seed tab (r : t) : t =
-  match r with
-  | Arr a when a.tab == tab -> r
-  | _ ->
-      Arr
-        {
-          tab;
-          cells =
-            Array.map
-              (fun name ->
-                match find_opt r name with
-                | Some v -> v
-                | None -> Slots.absent)
-              tab.Slots.names;
-        }
+(* [relayout fill tab r]: [r]'s bindings re-laid over [tab], slots
+   unbound in [r] holding [fill], bindings outside [tab] dropped *)
+let relayout fill tab r =
+  let cells = Array.make (Slots.width tab) fill in
+  Array.iteri
+    (fun j v ->
+      if v != Slots.absent then
+        let i = Slots.index tab (Slots.name r.tab j) in
+        if i >= 0 then cells.(i) <- v)
+    r.cells;
+  { tab; cells }
 
-(** [project r names] keeps only the bindings for [names], padding missing
-    ones with [Null].  When [r] is an array row whose layout is exactly
-    [names] — the common case: a table built over the same column list
-    the row was seeded on — the row is reused (or absent slots padded in
-    one array pass) instead of rebuilding a map per row. *)
-let project (r : t) names : t =
-  match r with
-  | Arr { tab; cells }
-    when (let arr = tab.Slots.names in
-          let n = Array.length arr in
-          let rec agree i = function
-            | [] -> i = n
-            | name :: rest ->
-                i < n
-                && (let s = Array.unsafe_get arr i in
-                    s == name || String.equal s name)
-                && agree (i + 1) rest
-          in
-          agree 0 names) ->
-      let n = Array.length cells in
-      let rec has_absent i =
-        i < n && (Array.unsafe_get cells i == Slots.absent || has_absent (i + 1))
-      in
-      if not (has_absent 0) then r
-      else
-        Arr
-          {
-            tab;
-            cells =
-              Array.map
-                (fun v -> if v == Slots.absent then Value.Null else v)
-                cells;
-          }
-  | _ ->
-      List.fold_left
-        (fun acc name -> Smap.add name (find r name) acc)
-        Smap.empty names
-      |> fun m -> Rec m
+let seed tab r = if r.tab == tab then r else relayout Slots.absent tab r
 
-(** [map_values f r] rewrites every bound value (used to replace deleted
-    entities by nulls, and to rewrite collapsed ids after MERGE SAME). *)
-let map_values f (r : t) : t =
-  match r with
-  | Rec m -> Rec (Smap.map f m)
-  | Arr { tab; cells } ->
-      Arr
-        {
-          tab;
-          cells = Array.map (fun v -> if v == Slots.absent then v else f v) cells;
-        }
+let builder tab r = relayout Slots.absent tab r
 
-(* comparison and equality follow [Smap]'s: the ascending (name, value)
-   binding sequences compared lexicographically, a missing binding
-   ordering below any present one.  Same-layout full array rows compare
-   cell-to-cell in sorted-name order without materialising the
-   sequences. *)
-
-let rec compare_seqs cmp l1 l2 =
-  match (l1, l2) with
-  | [], [] -> 0
-  | [], _ :: _ -> -1
-  | _ :: _, [] -> 1
-  | (k1, v1) :: t1, (k2, v2) :: t2 ->
-      let c = String.compare k1 k2 in
-      if c <> 0 then c
-      else
-        let c = cmp v1 v2 in
-        if c <> 0 then c else compare_seqs cmp t1 t2
+let set r name v =
+  let i = Slots.index r.tab name in
+  if i < 0 then invalid_arg ("Record.set: no slot for " ^ name);
+  r.cells.(i) <- v
 
 let full cells =
   let n = Array.length cells in
-  let rec go i =
-    i >= n || (Array.unsafe_get cells i != Slots.absent && go (i + 1))
-  in
+  let rec go i = i >= n || (Array.unsafe_get cells i != Slots.absent && go (i + 1)) in
   go 0
 
-let compare (r1 : t) (r2 : t) =
-  match (r1, r2) with
-  | Rec m1, Rec m2 -> Smap.compare Value.compare_total m1 m2
-  | Arr a1, Arr a2 when a1.tab == a2.tab && full a1.cells && full a2.cells ->
-      let sorted = a1.tab.Slots.sorted in
-      let n = Array.length sorted in
-      let rec go k =
-        if k >= n then 0
-        else
-          let i = Array.unsafe_get sorted k in
-          let c = Value.compare_total a1.cells.(i) a2.cells.(i) in
-          if c <> 0 then c else go (k + 1)
-      in
-      go 0
-  | _ -> compare_seqs Value.compare_total (bindings r1) (bindings r2)
+(* the layout's slot order is exactly [names] *)
+let has_names (tab : Slots.t) names =
+  let arr = tab.Slots.names in
+  let n = Array.length arr in
+  let rec agree i = function
+    | [] -> i = n
+    | name :: rest ->
+        i < n
+        && (let s = Array.unsafe_get arr i in
+            s == name || String.equal s name)
+        && agree (i + 1) rest
+  in
+  agree 0 names
 
-let equal (r1 : t) (r2 : t) =
-  match (r1, r2) with
-  | Rec m1, Rec m2 -> smap_equal Value.equal_strict m1 m2
-  | Arr a1, Arr a2 when a1.tab == a2.tab && full a1.cells && full a2.cells ->
-      let n = Array.length a1.cells in
-      let rec go i =
-        i >= n || (Value.equal_strict a1.cells.(i) a2.cells.(i) && go (i + 1))
-      in
-      go 0
-  | _ ->
-      let b1 = bindings r1 and b2 = bindings r2 in
-      List.length b1 = List.length b2
-      && List.for_all2
-           (fun (k1, v1) (k2, v2) ->
-             String.equal k1 k2 && Value.equal_strict v1 v2)
-           b1 b2
+let projection names rows : t -> t =
+  let tab =
+    match rows with
+    | r :: _ when has_names r.tab names -> r.tab
+    | _ -> Slots.of_names names
+  in
+  fun r ->
+    if r.tab == tab && full r.cells then r
+    else if has_names r.tab names && full r.cells then { tab; cells = r.cells }
+    else relayout Value.Null tab r
 
-let pp ppf (r : t) =
+let map_values f r =
+  { r with cells = Array.map (fun v -> if v == Slots.absent then v else f v) r.cells }
+
+(* comparison and equality: the ascending (name, value) binding
+   sequences compared lexicographically, a missing binding ordering
+   below any present one.  Both walk the two rows' sorted slot
+   permutations in step, skipping absent slots, so rows binding the same
+   names in different slot orders compare equal, and nothing is
+   materialised. *)
+
+let rec next_bound r k =
+  let sorted = r.tab.Slots.sorted in
+  if k < Array.length sorted && Array.unsafe_get r.cells (Array.unsafe_get sorted k) == Slots.absent
+  then next_bound r (k + 1)
+  else k
+
+let compare_with cmp r1 r2 =
+  let n1 = Array.length r1.tab.Slots.sorted
+  and n2 = Array.length r2.tab.Slots.sorted in
+  let same = r1.tab == r2.tab in
+  let rec go k1 k2 =
+    let k1 = next_bound r1 k1 and k2 = next_bound r2 k2 in
+    if k1 >= n1 then if k2 >= n2 then 0 else -1
+    else if k2 >= n2 then 1
+    else
+      let i1 = r1.tab.Slots.sorted.(k1) and i2 = r2.tab.Slots.sorted.(k2) in
+      let c =
+        if same && i1 = i2 then 0
+        else String.compare (Slots.name r1.tab i1) (Slots.name r2.tab i2)
+      in
+      if c <> 0 then c
+      else
+        let c = cmp r1.cells.(i1) r2.cells.(i2) in
+        if c <> 0 then c else go (k1 + 1) (k2 + 1)
+  in
+  go 0 0
+
+let compare r1 r2 = compare_with Value.compare_total r1 r2
+
+let equal r1 r2 =
+  compare_with (fun v1 v2 -> if Value.equal_strict v1 v2 then 0 else 1) r1 r2 = 0
+
+let pp ppf r =
   Fmt.pf ppf "(%a)"
     Fmt.(
       list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s: %a" k Value.pp v))

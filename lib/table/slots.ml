@@ -6,15 +6,23 @@
     bind and lookup through a string-keyed map.  A slot table is that
     compiled layout: a deduplicated name array in first-occurrence
     order, plus the index permutation that lists slots in ascending name
-    order (so array rows can reproduce the persistent map's observable
-    key ordering exactly — see {!Record}).
+    order (so rows observe their keys in name order whatever the slot
+    order — see {!Record}).
 
-    Lookup is a linear scan comparing physical equality before string
-    contents: the names flowing in are AST/column strings shared by
-    every row of a clause, so the [==] probe almost always decides, and
-    rows are narrow enough (a handful of variables) that a scan beats
-    any hashing scheme. *)
+    Every layout is compiled per call or per table, so its {!extend}
+    memo lives as long as the rows of that execution — except {!root},
+    the one process-global layout, which therefore never memoizes.
 
+    Lookup in a narrow layout is a linear scan comparing physical
+    equality before string contents: the names flowing in are AST/column
+    strings shared by every row of a clause, so the [==] probe almost
+    always decides, and a handful of variables scan faster than any
+    search structure.  A wide layout (a snapshot's CREATE binds one
+    variable per node) is binary-searched through the sorted
+    permutation instead, so no layout operation is worse than
+    O(w log w) in its width. *)
+
+open Cypher_util.Maps
 open Cypher_graph
 
 type t = {
@@ -23,8 +31,11 @@ type t = {
   mutable exts : (string * t) list;
       (** memoized single-name extensions (see {!extend}).  Extension
           from pool workers can race; a lost memo update only costs a
-          duplicate (equivalent) table, never correctness — every
-          consumer compares layouts by name, not by identity. *)
+          duplicate (equivalent) table, never correctness: consumers
+          either compare layouts by name, or take a physical-equality
+          fast path ([Record.compare], [equal], [compile_find], [seed],
+          [projection]) that falls back to comparing by name, so a
+          duplicate only misses the fast path. *)
 }
 
 (** A physically unique sentinel marking an unbound slot.  Array rows
@@ -38,46 +49,71 @@ let absent : Value.t = Value.String (String.make 8 '\000')
 let width t = Array.length t.names
 let name t i = t.names.(i)
 
+(* widest layout still scanned linearly by [index] *)
+let scan_width = 8
+
 (** [index t name] is [name]'s slot, or [-1] when it has none. *)
 let index t name =
   let names = t.names in
   let n = Array.length names in
-  let rec go i =
-    if i >= n then -1
-    else
-      let s = Array.unsafe_get names i in
-      if s == name || String.equal s name then i else go (i + 1)
-  in
-  go 0
+  if n <= scan_width then
+    let rec go i =
+      if i >= n then -1
+      else
+        let s = Array.unsafe_get names i in
+        if s == name || String.equal s name then i else go (i + 1)
+    in
+    go 0
+  else
+    let sorted = t.sorted in
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let i = Array.unsafe_get sorted mid in
+        let c = String.compare name (Array.unsafe_get names i) in
+        if c = 0 then i else if c < 0 then search lo mid else search (mid + 1) hi
+    in
+    search 0 n
 
 (** [of_names names] compiles a layout over [names], deduplicated to
     first occurrence (the same discipline as [Table.dedup_columns]). *)
 let of_names names =
-  let rec dedup acc = function
+  let rec dedup seen acc = function
     | [] -> List.rev acc
     | c :: rest ->
-        if List.exists (fun s -> s == c || String.equal s c) acc then
-          dedup acc rest
-        else dedup (c :: acc) rest
+        if Sset.mem c seen then dedup seen acc rest
+        else dedup (Sset.add c seen) (c :: acc) rest
   in
-  let names = Array.of_list (dedup [] names) in
+  let names = Array.of_list (dedup Sset.empty [] names) in
   let sorted = Array.init (Array.length names) Fun.id in
   Array.sort (fun i j -> String.compare names.(i) names.(j)) sorted;
   { names; sorted; exts = [] }
 
 let names t = Array.to_list t.names
 
+(** The empty layout of [Record.empty] and the unit table's row, shared
+    by every statement and every domain.  {!extend} never memoizes on
+    it: a memo here would gain an entry for every variable name any
+    client ever binds from the unit row — an unbounded leak with linear
+    lookups on a server that runs arbitrary query text.  Its extensions
+    are compiled per call instead ([Record.widen] keeps loops from
+    paying that per row). *)
+let root = { names = [||]; sorted = [||]; exts = [] }
+
 (** [extend t name] is the layout of [t] with [name] appended (slot
     [width t]).  Memoized on [t]: the evaluator extends a clause's
     layout with the same loop variable (list comprehensions, reduce,
     pattern predicates) for every row, and must not compile a fresh
-    table per element. *)
+    table per element.  Never memoized on {!root}. *)
 let extend t name =
-  match
-    List.find_opt (fun (s, _) -> s == name || String.equal s name) t.exts
-  with
-  | Some (_, t') -> t'
-  | None ->
-      let t' = of_names (Array.to_list t.names @ [ name ]) in
-      t.exts <- (name, t') :: t.exts;
-      t'
+  if t == root then of_names [ name ]
+  else
+    match
+      List.find_opt (fun (s, _) -> s == name || String.equal s name) t.exts
+    with
+    | Some (_, t') -> t'
+    | None ->
+        let t' = of_names (Array.to_list t.names @ [ name ]) in
+        t.exts <- (name, t') :: t.exts;
+        t'

@@ -34,6 +34,11 @@ val of_names : string list -> t
 (** The slot names, in slot order. *)
 val names : t -> string list
 
+(** The empty layout shared by [Record.empty] and the unit table.  It
+    is process-global, so {!extend} never memoizes on it and its
+    [exts] stays empty. *)
+val root : t
+
 (** [extend t name] is [t] with [name] appended as slot [width t];
-    memoized on [t]. *)
+    memoized on [t] unless [t] is {!root}. *)
 val extend : t -> string -> t

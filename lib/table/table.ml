@@ -37,10 +37,12 @@ let dedup_columns columns =
 (** [make columns rows] builds a table, padding every record to exactly
     [columns] (missing bindings become null, extra bindings are dropped)
     so the consistency invariant holds.  Column order is preserved
-    (first occurrence wins on duplicates). *)
+    (first occurrence wins on duplicates).  The rows are laid out over
+    one layout, compiled at most once per call
+    ({!Record.projection}). *)
 let make columns rows =
   let columns = dedup_columns columns in
-  { columns; rows = List.map (fun r -> Record.project r columns) rows }
+  { columns; rows = List.map (Record.projection columns rows) rows }
 
 (** [make_rev columns rows_rev] is [make columns (List.rev rows_rev)] in
     one traversal: the reversal and the consistency projection share a
@@ -50,7 +52,7 @@ let make columns rows =
     large row list twice. *)
 let make_rev columns rows_rev =
   let columns = dedup_columns columns in
-  { columns; rows = List.rev_map (fun r -> Record.project r columns) rows_rev }
+  { columns; rows = List.rev_map (Record.projection columns rows_rev) rows_rev }
 
 (** [of_consistent columns rows] adopts [rows] as-is — no per-row
     consistency projection.  Trusted constructor for engine-internal
@@ -135,8 +137,10 @@ let permute_seed seed t =
   { t with rows = Cypher_util.Listx.permutation_of_seed seed t.rows }
 
 let equal_as_bags t1 t2 =
-  List.sort Record.compare t1.rows = List.sort Record.compare t2.rows
-  && t1.columns = t2.columns
+  t1.columns = t2.columns
+  && List.equal Record.equal
+       (List.sort Record.compare t1.rows)
+       (List.sort Record.compare t2.rows)
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>| %a |" Fmt.(list ~sep:(any " | ") string) t.columns;

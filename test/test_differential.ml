@@ -284,16 +284,17 @@ let parallelism_checks =
     settings
 
 (* ------------------------------------------------------------------ *)
-(* Planner × backend × row-representation sweep                       *)
+(* Planner × backend sweep against pinned output                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The slot-compiled row pipeline is a pure representation change: for
-   every planner setting and physical backend, the sweep under
-   [Config.rows = `Slots] must produce byte-identical tables and graphs
-   to the record-row run — same rows, same order, same graph, so the
-   array-row fast paths (including the matcher's deferred and
-   natural-order enumerations) are unobservable. *)
-let rows_checks =
+(* The sweep's exact output, row order included, pinned for each
+   planner setting and shared by both physical backends: table bytes in
+   full, graph bytes as the MD5 digest of [Graph.to_string] (each graph
+   prints ~170 lines).  Row order is not fixed by the semantics, so
+   nothing else holds the matcher's enumeration variants (eager,
+   deferred, natural-order) to it. *)
+let pinned_checks =
+  let expected = Test_util.golden "rows_golden.expected" in
   let settings =
     [ ("planner-on", planner_on); ("planner-off", planner_off) ]
   in
@@ -306,19 +307,14 @@ let rows_checks =
           List.map
             (fun src ->
               Test_util.case
-                (Printf.sprintf "slots byte-identical to records (%s, %s): %s"
-                   plabel blabel src)
+                (Printf.sprintf "pinned output (%s, %s): %s" plabel blabel src)
                 (fun () ->
-                  let rec_g, rec_t =
-                    run_with (Config.with_rows `Records cfg) src
-                  in
-                  let slot_g, slot_t =
-                    run_with (Config.with_rows `Slots cfg) src
-                  in
-                  Alcotest.(check string) "table bytes"
-                    (Table.to_string rec_t) (Table.to_string slot_t);
-                  Alcotest.(check string) "graph bytes"
-                    (Graph.to_string rec_g) (Graph.to_string slot_g)))
+                  let g, t = run_with cfg src in
+                  let key what = Printf.sprintf "%s sweep %s: %s" what plabel src in
+                  Alcotest.(check string) "table bytes" (expected (key "table"))
+                    (Table.to_string t);
+                  Alcotest.(check string) "graph digest" (expected (key "graph"))
+                    (Digest.to_hex (Digest.string (Graph.to_string g)))))
             (read_queries @ update_queries))
         backends)
     settings
@@ -327,4 +323,4 @@ let suite =
   List.map QCheck_alcotest.to_alcotest tests
   @ figure_checks @ planner_checks
   @ List.map QCheck_alcotest.to_alcotest planner_merge_checks
-  @ parallelism_checks @ rows_checks
+  @ parallelism_checks @ pinned_checks

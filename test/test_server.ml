@@ -315,6 +315,41 @@ let tcp_tests =
                 expect_err "parse error" (read_response ic []);
                 send oc "RETURN 1 AS one";
                 expect_ok "still alive" (read_response ic []))));
+    case "an oversized request line gets ERR and a closed socket" (fun () ->
+        with_server (fun _shared port ->
+            let sa, ica, oca = connect port in
+            let sb, icb, ocb = connect port in
+            Fun.protect
+              ~finally:(fun () ->
+                (try Unix.close sa with _ -> ());
+                try Unix.close sb with _ -> ())
+              (fun () ->
+                (* one byte over the bound and no newline: the server
+                   must refuse it rather than keep buffering (a server
+                   that waits for the newline fails the read below by
+                   timeout instead of hanging the suite) *)
+                Unix.setsockopt_float sa Unix.SO_RCVTIMEO 10.;
+                output_string oca (String.make (Server.max_request_line + 1) 'x');
+                flush oca;
+                expect_err "oversized line" (read_response ica []);
+                Alcotest.(check bool) "connection closed" true
+                  (match input_line ica with
+                  | exception End_of_file -> true
+                  | _ -> false);
+                send ocb ":ping";
+                expect_ok "the other connection still answers"
+                  (read_response icb []))));
+    case "a line at the bound is still served" (fun () ->
+        with_server (fun _shared port ->
+            let s, ic, oc = connect port in
+            Fun.protect
+              ~finally:(fun () -> try Unix.close s with _ -> ())
+              (fun () ->
+                let pad = Server.max_request_line - String.length "RETURN 1 AS one" in
+                send oc ("RETURN 1 AS one" ^ String.make pad ' ');
+                expect_ok "served" (read_response ic []);
+                send oc ":ping";
+                expect_ok "and the connection stays open" (read_response ic []))));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -63,3 +63,33 @@ let vstr s = Value.String s
 let vbool b = Value.Bool b
 let vnull = Value.Null
 let vlist l = Value.List l
+
+(** [golden file] is the lookup from key to content over a golden-output
+    file of blocks, each a [=== KEY] header line followed by the block's
+    content lines.  The file is read on the first lookup; an unknown key
+    fails the test. *)
+let golden file =
+  let blocks =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       let flush key body =
+         Option.iter
+           (fun k -> Hashtbl.replace tbl k (String.concat "\n" (List.rev body)))
+           key
+       in
+       let rec go key body = function
+         | [] | [ "" ] -> flush key body
+         | l :: rest when String.starts_with ~prefix:"=== " l ->
+             flush key body;
+             go (Some (String.sub l 4 (String.length l - 4))) [] rest
+         | l :: rest -> go key (l :: body) rest
+       in
+       go None []
+         (String.split_on_char '\n'
+            (In_channel.with_open_text file In_channel.input_all));
+       tbl)
+  in
+  fun key ->
+    match Hashtbl.find_opt (Lazy.force blocks) key with
+    | Some v -> v
+    | None -> Alcotest.failf "%s has no block %S" file key
