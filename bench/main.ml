@@ -111,6 +111,28 @@ let q_sp =
 let q_point = parse_q "MATCH (u:User {id: 100042}) RETURN u.name AS name"
 let market1000_indexed = Graph.add_prop_index ~label:"User" ~key:"id" market1000
 
+(* a 100-row driving table probing an unindexed equality key: one
+   anchor lookup per row against the same input graph *)
+let q_unwind_eq =
+  parse_q
+    "UNWIND range(0, 99) AS i MATCH (u:User {id: 100000 + i * 6}) RETURN \
+     u.name AS name"
+
+(* every run gets a fresh graph version (one vendor property touched),
+   so the timing includes whatever per-version work the lookups pay *)
+let fresh_version =
+  let tick = ref 0 in
+  fun g ->
+    incr tick;
+    Graph.set_node_prop g 0 "tick" (Value.Int !tick)
+
+(* the Example-5 MERGE over a 10⁴-node marketplace base: no row matches
+   the base, so the work is the batch's, and any per-statement cost in
+   the size of the graph shows against merge/same/100 (empty base) *)
+let market10k =
+  Fixtures.marketplace_graph ~vendors:200 ~products:3000 ~users:6800
+    ~orders_per_user:1
+
 (* prepared statements and the session plan cache --------------------- *)
 
 module Smap = Cypher_util.Maps.Smap
@@ -358,6 +380,9 @@ let base_tests =
                   (Smap.add "uid" (Value.Int uid) Smap.empty)
                   cfg_revised)
              market1000_indexed param_src));
+    t "match/unwind-eq/unindexed/100" (fun () ->
+        Sys.opaque_identity
+          (run_q cfg_revised (fresh_version market1000) q_unwind_eq));
     t "match/figure1-query1" (fun () ->
         Sys.opaque_identity (run_q cfg_revised Fixtures.figure1_graph q_read));
     (* ablation: homomorphic matching drops the used-relationship
@@ -401,6 +426,11 @@ let base_tests =
     t "merge/same/100" (merge_graph Merge_same orders100);
     t "merge/all/1000" (merge_graph Merge_all orders1000);
     t "merge/same/1000" (merge_graph Merge_same orders1000);
+    t "merge/same/100/base=1e4" (fun () ->
+        Sys.opaque_identity
+          (fst
+             (Runner.run_merge_mode cfg_permissive ~mode:Merge_same merge_src
+                (market10k, orders100))));
     (* quotient/* *)
     t "quotient/300-nodes" (fun () ->
         let g, new_nodes = quotient_300 in

@@ -135,6 +135,7 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
      each class — the first-created entity — becomes its representative *)
   let node_reps : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let node_classes = Hashtbl.create 64 in
+  let merged_nodes = ref [] in
   List.iter
     (fun (id, pos) ->
       match Graph.node g id with
@@ -148,6 +149,7 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
             }
           in
           let rep = classify Nkey.compare Nkey.hash node_classes key id in
+          if rep <> id then merged_nodes := (id, rep) :: !merged_nodes;
           Hashtbl.replace node_reps id rep)
     (List.sort by_id new_nodes);
   let node_map id =
@@ -158,6 +160,7 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
   (* --- relationship classes ---------------------------------------- *)
   let rel_reps : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let rel_classes = Hashtbl.create 64 in
+  let merged_rels = ref [] in
   List.iter
     (fun (id, pos) ->
       match Graph.rel g id with
@@ -173,26 +176,14 @@ let apply (g : Graph.t) ~(new_nodes : (int * position) list)
             }
           in
           let rep = classify Rkey.compare Rkey.hash rel_classes key id in
+          if rep <> id then merged_rels := id :: !merged_rels;
           Hashtbl.replace rel_reps id rep)
     (List.sort by_id new_rels);
   let rel_map id =
     match Hashtbl.find_opt rel_reps id with None -> id | Some rep -> rep
   in
-  (* --- rebuild ------------------------------------------------------ *)
-  let keep_node (n : Graph.node) = node_map n.Graph.n_id = n.Graph.n_id in
-  let keep_rel (r : Graph.rel) = rel_map r.Graph.r_id = r.Graph.r_id in
-  let nodes = List.filter keep_node (Graph.nodes g) in
-  let rels =
-    List.filter_map
-      (fun (r : Graph.rel) ->
-        if keep_rel r then
-          Some { r with Graph.src = node_map r.Graph.src; tgt = node_map r.Graph.tgt }
-        else None)
-      (Graph.rels g)
-  in
-  let graph =
-    Graph.rebuild
-      ~prop_indexes:(Graph.prop_index_keys g)
-      ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g) nodes rels
-  in
+  (* --- quotient in place ------------------------------------------ *)
+  (* only created entities collapse, so the quotient edits them out of
+     [g] at O(created) cost, not O(graph) ({!Graph.collapse}) *)
+  let graph = Graph.collapse g ~nodes:!merged_nodes ~rels:!merged_rels in
   { graph; node_map; rel_map }

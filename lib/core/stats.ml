@@ -216,7 +216,7 @@ let finalize c (g : Graph.t) : t =
         in
         (* a deleted entity's properties vanish with it — counted (or
            not) under the entity's deletion, not as property changes *)
-        if alive && not (Value.equal_strict orig current) then
+        if alive && not (Value.identical orig current) then
           if Value.is_null current then incr props_removed
           else incr props_set)
       c.prop_origs;

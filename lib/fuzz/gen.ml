@@ -32,10 +32,16 @@ let int_keys = [| "k"; "x"; "id" |]
 (* Graphs                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* the integer property pool, with the occasional [1.0]: equal to the
+   Int [1] under both ternary equality and the index order, so anchors
+   and buckets must treat the two alike *)
+let pool_value rng =
+  if Rng.chance rng 1 6 then Value.Float 1.0 else Value.Int (Rng.range rng 0 3)
+
 let gen_node_props rng =
   let p = [] in
-  let p = if Rng.chance rng 1 2 then ("k", Value.Int (Rng.range rng 0 3)) :: p else p in
-  let p = if Rng.chance rng 1 3 then ("id", Value.Int (Rng.range rng 0 3)) :: p else p in
+  let p = if Rng.chance rng 1 2 then ("k", pool_value rng) :: p else p in
+  let p = if Rng.chance rng 1 3 then ("id", pool_value rng) :: p else p in
   let p =
     if Rng.chance rng 1 4 then ("s", Value.String (Rng.pick rng [| "a"; "b" |])) :: p
     else p
@@ -43,10 +49,11 @@ let gen_node_props rng =
   Props.of_list p
 
 (** A small random graph: up to 6 nodes over labels A/B/C, up to 2n
-    relationships of types T/U, integer properties drawn from a tiny
-    value pool.  Half of the time the (A, id) property index is
-    registered — before node creation (exercising incremental index
-    maintenance) or after (exercising the build-from-existing path). *)
+    relationships of types T/U, integer properties (and [1.0]) drawn
+    from a tiny value pool.  Half of the time the (A, id) property
+    index is registered — before node creation (exercising incremental
+    index maintenance) or after (exercising the build-from-existing
+    path). *)
 let graph rng =
   let n = Rng.range rng 0 6 in
   (* 0 = register the index first, 1 = register it last, 2 = no index *)
@@ -67,7 +74,7 @@ let graph rng =
     for _ = 1 to m do
       let src = Rng.pick rng ids and tgt = Rng.pick rng ids in
       let props =
-        if Rng.chance rng 1 3 then Props.of_list [ ("k", Value.Int (Rng.range rng 0 3)) ]
+        if Rng.chance rng 1 3 then Props.of_list [ ("k", pool_value rng) ]
         else Props.empty
       in
       let _, g' =
@@ -166,7 +173,11 @@ let predicate rng env =
 (* Reading patterns (MATCH)                                           *)
 (* ------------------------------------------------------------------ *)
 
-let read_node_pat rng env =
+(* Property values of a read pattern may depend on the row (UNWIND
+   scalars, properties of nodes bound before the clause), so an anchor
+   under a multi-row driving table is probed with different keys per
+   row — the equality-bucket path of the planned matcher. *)
+let read_node_pat rng env ~ctx_nodes ~ctx_scalars =
   (* occasionally re-use an already-bound node variable: a join point *)
   if env.nodes <> [] && Rng.chance rng 1 6 then
     { np_var = Some (Rng.pick_list rng env.nodes); np_labels = []; np_props = [] }
@@ -174,7 +185,9 @@ let read_node_pat rng env =
     let var = if Rng.chance rng 2 3 then Some (fresh_node env) else None in
     let labs = if Rng.chance rng 1 2 then [ a_label rng ] else [] in
     let props =
-      if Rng.chance rng 1 4 then [ (an_int_key rng, small_int rng) ] else []
+      if Rng.chance rng 1 4 then
+        [ (an_int_key rng, value_expr rng ~ctx_nodes ~ctx_scalars) ]
+      else []
     in
     { np_var = var; np_labels = labs; np_props = props }
 
@@ -197,19 +210,22 @@ let read_rel_pat rng env =
     in
     { rp_var = var; rp_types = types; rp_props = props; rp_dir = dir; rp_range = None }
 
-let read_pattern rng env =
-  let start = read_node_pat rng env in
+let read_pattern rng env ~ctx_nodes ~ctx_scalars =
+  let start = read_node_pat rng env ~ctx_nodes ~ctx_scalars in
   let n_steps = Rng.range rng 0 2 in
   let steps =
     List.init n_steps (fun _ ->
         let rp = read_rel_pat rng env in
-        (rp, read_node_pat rng env))
+        (rp, read_node_pat rng env ~ctx_nodes ~ctx_scalars))
   in
   { pat_var = None; pat_start = start; pat_steps = steps }
 
 let gen_match rng env =
+  let ctx_nodes = env.nodes and ctx_scalars = env.scalars in
   let n_pats = if Rng.chance rng 1 4 then 2 else 1 in
-  let patterns = List.init n_pats (fun _ -> read_pattern rng env) in
+  let patterns =
+    List.init n_pats (fun _ -> read_pattern rng env ~ctx_nodes ~ctx_scalars)
+  in
   let where =
     if (env.nodes <> [] || env.rels <> []) && Rng.chance rng 1 2 then
       Some (predicate rng env)

@@ -295,7 +295,7 @@ let graph_diff (g_in : Graph.t) (g_out : Graph.t) : Cypher_core.Stats.t =
     List.iter
       (fun k ->
         let b = Props.get before k and a = Props.get after k in
-        if not (Value.equal_strict b a) then
+        if not (Value.identical b a) then
           if Value.is_null a then incr props_removed else incr props_set)
       keys
   in
@@ -464,6 +464,11 @@ let ids_of_rels rels = List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels
     freshly rebuilt from [g]'s entity lists: any disagreement means the
     incremental maintenance of some index drifted during the update. *)
 let indexes_agree (g : Graph.t) (reference : Graph.t) : (unit, string) result =
+  let* () =
+    check
+      (Graph.node_count g = Graph.node_count reference)
+      (fun () -> "node count disagrees with a from-scratch rebuild")
+  in
   let* () =
     check
       (Graph.label_histogram g = Graph.label_histogram reference)

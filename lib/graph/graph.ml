@@ -189,6 +189,25 @@ end
 type csr_entry = { ce_nodes : node Imap.t; ce_rels : rel Imap.t; ce_csr : Csr.t }
 type csr_cache = csr_entry option Atomic.t
 
+(* The equality-bucket cache ({!nodes_with_eq}): one process-global cell
+   like the CSR cache, keyed on the physical [nodes] map — buckets read
+   only labels and node properties, so relationship updates keep them
+   valid and every node update breaks them.  An entry records the
+   (label, key) pairs probed once on its graph version and the buckets
+   built for pairs probed twice. *)
+type eq_entry = {
+  eq_nodes : node Imap.t;
+  eq_probed : (string * string) list;
+  eq_built : ((string * string) * Iset.t Vmap.t) list;
+}
+
+type eq_cache = eq_entry option Atomic.t
+
+(* A label's bucket: the ids of the nodes carrying it, and how many
+   there are.  The planner reads the count once per driving row, and a
+   set's cardinal walks the whole set. *)
+type lbucket = { l_ids : Iset.t; l_size : int }
+
 type t = {
   nodes : node Imap.t;
   rels : rel Imap.t;
@@ -196,7 +215,8 @@ type t = {
   in_adj : Iset.t Imap.t; (* node id -> ids of rels entering it *)
   out_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels leaving it *)
   in_typed : Iset.t Smap.t Imap.t; (* node id -> type -> rels entering it *)
-  label_index : Iset.t Smap.t; (* label -> ids of nodes carrying it *)
+  label_index : lbucket Smap.t; (* label -> nodes carrying it *)
+  node_total : int; (* size of [nodes], kept for the same reason *)
   type_index : Iset.t Smap.t; (* type -> ids of rels carrying it *)
   prop_index : Iset.t Vmap.t Smap.t Smap.t;
       (* label -> key -> value -> node ids; an entry for (label, key)
@@ -209,6 +229,7 @@ type t = {
   tombs : tomb Imap.t;
   backend : backend;
   ccache : csr_cache;
+  eqcache : eq_cache;
 }
 
 let empty =
@@ -220,6 +241,7 @@ let empty =
     out_typed = Imap.empty;
     in_typed = Imap.empty;
     label_index = Smap.empty;
+    node_total = 0;
     type_index = Smap.empty;
     prop_index = Smap.empty;
     dangling = Iset.empty;
@@ -227,9 +249,10 @@ let empty =
     tombs = Imap.empty;
     backend = `Persistent;
     ccache = Atomic.make None;
+    eqcache = Atomic.make None;
   }
 
-(* --- label index maintenance -------------------------------------- *)
+(* --- label and type index maintenance ------------------------------- *)
 
 let index_add label id idx =
   Smap.update label
@@ -245,24 +268,51 @@ let index_remove label id idx =
           if Iset.is_empty s then None else Some s)
     idx
 
+(* [Iset.add]/[Iset.remove] return their argument when nothing
+   changes, so the size moves exactly when the set does *)
+let lindex_add label id idx =
+  Smap.update label
+    (function
+      | None -> Some { l_ids = Iset.singleton id; l_size = 1 }
+      | Some b as same ->
+          let ids = Iset.add id b.l_ids in
+          if ids == b.l_ids then same else Some { l_ids = ids; l_size = b.l_size + 1 })
+    idx
+
+let lindex_remove label id idx =
+  Smap.update label
+    (function
+      | None -> None
+      | Some b as same ->
+          let ids = Iset.remove id b.l_ids in
+          if ids == b.l_ids then same
+          else if b.l_size = 1 then None
+          else Some { l_ids = ids; l_size = b.l_size - 1 })
+    idx
+
+let lindex_ids label idx =
+  match Smap.find_opt label idx with Some b -> b.l_ids | None -> Iset.empty
+
 let index_node (n : node) idx =
-  Sset.fold (fun l idx -> index_add l n.n_id idx) n.labels idx
+  Sset.fold (fun l idx -> lindex_add l n.n_id idx) n.labels idx
 
 let unindex_node (n : node) idx =
-  Sset.fold (fun l idx -> index_remove l n.n_id idx) n.labels idx
+  Sset.fold (fun l idx -> lindex_remove l n.n_id idx) n.labels idx
 
 (** Adjusts the index when a node's label set changes. *)
 let reindex ~old_labels ~new_labels id idx =
-  let idx =
+  if old_labels == new_labels then idx
+  else
+    let idx =
+      Sset.fold
+        (fun l idx -> lindex_remove l id idx)
+        (Sset.diff old_labels new_labels)
+        idx
+    in
     Sset.fold
-      (fun l idx -> index_remove l id idx)
-      (Sset.diff old_labels new_labels)
+      (fun l idx -> lindex_add l id idx)
+      (Sset.diff new_labels old_labels)
       idx
-  in
-  Sset.fold
-    (fun l idx -> index_add l id idx)
-    (Sset.diff new_labels old_labels)
-    idx
 
 (* --- typed adjacency maintenance ---------------------------------- *)
 
@@ -363,7 +413,7 @@ let tombstones g = g.tombs
 let has_rel g id = Imap.mem id g.rels
 let is_tombstoned g id = Imap.mem id g.tombs
 let tombstone g id = Imap.find_opt id g.tombs
-let node_count g = Imap.cardinal g.nodes
+let node_count g = g.node_total
 let rel_count g = Imap.cardinal g.rels
 let nodes g = List.map snd (Imap.bindings g.nodes)
 let rels g = List.map snd (Imap.bindings g.rels)
@@ -373,6 +423,11 @@ let fold_nodes f g acc = Imap.fold (fun _ n acc -> f n acc) g.nodes acc
 let fold_rels f g acc = Imap.fold (fun _ r acc -> f r acc) g.rels acc
 
 let adj_find id m = match Imap.find_opt id m with Some s -> s | None -> Iset.empty
+
+let adj_add n rid m =
+  Imap.update n
+    (function Some s -> Some (Iset.add rid s) | None -> Some (Iset.singleton rid))
+    m
 
 (* --- backend selection and the CSR snapshot ------------------------- *)
 
@@ -615,9 +670,7 @@ let rels_with_type g ty = rels_of_set g (tset_find ty g.type_index)
 let type_count g ty = Iset.cardinal (tset_find ty g.type_index)
 
 let label_count g label =
-  match Smap.find_opt label g.label_index with
-  | None -> 0
-  | Some s -> Iset.cardinal s
+  match Smap.find_opt label g.label_index with None -> 0 | Some b -> b.l_size
 
 (** Relationships whose source or target node no longer exists — only
     possible after a legacy force-delete; a well-formed graph has none.
@@ -639,6 +692,7 @@ let create_node ?(labels = []) ?(props = Props.empty) g =
       g with
       nodes = Imap.add id n g.nodes;
       label_index = index_node n g.label_index;
+      node_total = g.node_total + 1;
       prop_index = pindex_node_add n g.prop_index;
       next_id = id + 1;
     } )
@@ -650,14 +704,8 @@ let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
     invalid_arg (Printf.sprintf "Graph.create_rel: no target node %d" tgt);
   let id = g.next_id in
   let r = { r_id = id; src; tgt; r_type; r_props = props } in
-  let adj_insert n m =
-    Imap.update n
-      (function
-        | Some s -> Some (Iset.add id s) | None -> Some (Iset.singleton id))
-      m
-  in
-  let out_adj = adj_insert src g.out_adj in
-  let in_adj = adj_insert tgt g.in_adj in
+  let out_adj = adj_add src id g.out_adj in
+  let in_adj = adj_add tgt id g.in_adj in
   ( id,
     {
       g with
@@ -759,27 +807,43 @@ let remove_label g id label =
 (* Deletion                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Unlinks relationship [r] from every structure without leaving a
+   tombstone — the shared core of {!remove_rel} and {!collapse}. *)
+let unlink_rel g (r : rel) =
+  let id = r.r_id in
+  {
+    g with
+    rels = Imap.remove id g.rels;
+    out_adj = Imap.add r.src (Iset.remove id (adj_find r.src g.out_adj)) g.out_adj;
+    in_adj = Imap.add r.tgt (Iset.remove id (adj_find r.tgt g.in_adj)) g.in_adj;
+    out_typed = tadj_remove r.src r.r_type id g.out_typed;
+    in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
+    type_index = index_remove r.r_type id g.type_index;
+    dangling = Iset.remove id g.dangling;
+  }
+
 let remove_rel g id =
   match rel g id with
   | None -> g
   | Some r ->
-      let out_adj =
-        Imap.add r.src (Iset.remove id (adj_find r.src g.out_adj)) g.out_adj
-      in
-      let in_adj =
-        Imap.add r.tgt (Iset.remove id (adj_find r.tgt g.in_adj)) g.in_adj
-      in
-      {
-        g with
-        rels = Imap.remove id g.rels;
-        out_adj;
-        in_adj;
-        out_typed = tadj_remove r.src r.r_type id g.out_typed;
-        in_typed = tadj_remove r.tgt r.r_type id g.in_typed;
-        type_index = index_remove r.r_type id g.type_index;
-        dangling = Iset.remove id g.dangling;
-        tombs = Imap.add id Tomb_rel g.tombs;
-      }
+      let g = unlink_rel g r in
+      { g with tombs = Imap.add id Tomb_rel g.tombs }
+
+(* Unlinks node [n] (its adjacency entries included) without leaving a
+   tombstone — the shared core of the node removals and {!collapse}. *)
+let unlink_node g (n : node) =
+  let id = n.n_id in
+  {
+    g with
+    nodes = Imap.remove id g.nodes;
+    out_adj = Imap.remove id g.out_adj;
+    in_adj = Imap.remove id g.in_adj;
+    out_typed = Imap.remove id g.out_typed;
+    in_typed = Imap.remove id g.in_typed;
+    label_index = unindex_node n g.label_index;
+    node_total = g.node_total - 1;
+    prop_index = pindex_node_remove n g.prop_index;
+  }
 
 (** Strict node removal: refuses (returns [Error rels]) when relationships
     are still attached — the revised [DELETE] semantics of Section 7. *)
@@ -789,18 +853,8 @@ let remove_node g id =
   | Some n -> (
       match incident_rels g id with
       | [] ->
-          Ok
-            {
-              g with
-              nodes = Imap.remove id g.nodes;
-              out_adj = Imap.remove id g.out_adj;
-              in_adj = Imap.remove id g.in_adj;
-              out_typed = Imap.remove id g.out_typed;
-              in_typed = Imap.remove id g.in_typed;
-              label_index = unindex_node n g.label_index;
-              prop_index = pindex_node_remove n g.prop_index;
-              tombs = Imap.add id Tomb_node g.tombs;
-            }
+          let g = unlink_node g n in
+          Ok { g with tombs = Imap.add id Tomb_node g.tombs }
       | attached -> Error attached)
 
 (** Legacy force removal: deletes the node even when relationships are
@@ -810,20 +864,12 @@ let remove_node_force g id =
   match node g id with
   | None -> g
   | Some n ->
+      (* the still-attached relationships lose an endpoint *)
+      let attached = Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj) in
+      let g = unlink_node g n in
       {
         g with
-        nodes = Imap.remove id g.nodes;
-        out_adj = Imap.remove id g.out_adj;
-        in_adj = Imap.remove id g.in_adj;
-        out_typed = Imap.remove id g.out_typed;
-        in_typed = Imap.remove id g.in_typed;
-        label_index = unindex_node n g.label_index;
-        prop_index = pindex_node_remove n g.prop_index;
-        (* the still-attached relationships lose an endpoint *)
-        dangling =
-          Iset.union
-            (Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj))
-            g.dangling;
+        dangling = Iset.union attached g.dangling;
         tombs = Imap.add id Tomb_node g.tombs;
       }
 
@@ -835,6 +881,22 @@ let remove_node_detach g id =
 (* ------------------------------------------------------------------ *)
 (* Property indexes                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* value → ids of the [label]-carrying nodes whose [key] property has
+   that value, under the total value order; null (= absent) values are
+   left out.  Built from the label bucket: what a registered index holds,
+   and what an equality bucket memoises. *)
+let value_buckets g ~label ~key =
+  Iset.fold
+    (fun id vmap ->
+      match Imap.find_opt id g.nodes with
+      | None -> vmap
+      | Some n -> (
+          match Props.get n.n_props key with
+          | Value.Null -> vmap
+          | v -> vmap_add v id vmap))
+    (lindex_ids label g.label_index)
+    Vmap.empty
 
 (** [add_prop_index ~label ~key g] registers an exact-value index over
     the [key] property of [label]-carrying nodes and builds it from the
@@ -848,26 +910,16 @@ let add_prop_index ~label ~key g =
   in
   if registered then g
   else
-    let vmap =
-      Iset.fold
-        (fun id vmap ->
-          match node g id with
-          | None -> vmap
-          | Some n -> (
-              match Props.get n.n_props key with
-              | Value.Null -> vmap
-              | v -> vmap_add v id vmap))
-        (match Smap.find_opt label g.label_index with
-        | Some s -> s
-        | None -> Iset.empty)
-        Vmap.empty
-    in
     let keys =
       match Smap.find_opt label g.prop_index with
       | Some ks -> ks
       | None -> Smap.empty
     in
-    { g with prop_index = Smap.add label (Smap.add key vmap keys) g.prop_index }
+    {
+      g with
+      prop_index =
+        Smap.add label (Smap.add key (value_buckets g ~label ~key) keys) g.prop_index;
+    }
 
 let has_prop_index g ~label ~key =
   match Smap.find_opt label g.prop_index with
@@ -915,6 +967,83 @@ let count_with_prop g ~label ~key v =
               | None -> 0))
 
 (* ------------------------------------------------------------------ *)
+(* Equality buckets for unregistered (label, key) pairs               *)
+(* ------------------------------------------------------------------ *)
+
+(* At most this many buckets live in the cell, so its memory is bounded
+   by [eq_max_pairs] times the node count (plus one map entry per
+   distinct value); further pairs keep scanning. *)
+let eq_max_pairs = 8
+
+(* Buckets built, process-wide — the bucket analogue of
+   [csr_build_ns]: tests read it to show that a one-row statement never
+   pays for a build and a driving table pays once. *)
+let eq_builds = Atomic.make 0
+
+let eq_bucket_builds_total () = Atomic.get eq_builds
+
+(* Publishes [f e], where [e] is the cell's entry for [g]'s version (a
+   fresh one when the cell holds another version), by CAS over the
+   observed value.  A publish lost to a racing domain is retried a few
+   times, then dropped: the cell only ever saves work. *)
+let eq_publish g f =
+  let rec attempt tries =
+    let observed = Atomic.get g.eqcache in
+    let e =
+      match observed with
+      | Some e when e.eq_nodes == g.nodes -> e
+      | _ -> { eq_nodes = g.nodes; eq_probed = []; eq_built = [] }
+    in
+    if (not (Atomic.compare_and_set g.eqcache observed (Some (f e)))) && tries > 0
+    then attempt (tries - 1)
+  in
+  attempt 3
+
+(** [nodes_with_eq g ~label ~key v] is [Some ids] — the [label] nodes
+    whose [key] property equals [v] under the total value order, in id
+    order — from the registered index when there is one, otherwise from
+    a transient equality bucket; [None] tells the caller to scan the
+    label bucket itself.  The bucket for a (label, key) pair is built
+    on its second probe of the same graph version, so a one-row
+    statement never pays for a build, and lives until a node update
+    replaces the version.  [Null] yields [Some []]. *)
+let nodes_with_eq g ~label ~key v =
+  match nodes_with_prop g ~label ~key v with
+  | Some _ as ids -> ids
+  | None when Value.is_null v -> Some []
+  | None -> (
+      let pair = (label, key) in
+      let lookup vmap =
+        match Vmap.find_opt v vmap with Some s -> Iset.elements s | None -> []
+      in
+      match Atomic.get g.eqcache with
+      | Some e when e.eq_nodes == g.nodes && List.mem_assoc pair e.eq_built ->
+          Some (lookup (List.assoc pair e.eq_built))
+      | Some e when e.eq_nodes == g.nodes && List.mem pair e.eq_probed ->
+          if List.length e.eq_built >= eq_max_pairs then None
+          else begin
+            let vmap = value_buckets g ~label ~key in
+            Atomic.incr eq_builds;
+            eq_publish g
+              (fun e ->
+                if List.mem_assoc pair e.eq_built then e
+                else
+                  {
+                    e with
+                    eq_probed = List.filter (fun p -> p <> pair) e.eq_probed;
+                    eq_built = (pair, vmap) :: e.eq_built;
+                  });
+            Some (lookup vmap)
+          end
+      | _ ->
+          eq_publish g
+            (fun e ->
+              if List.mem pair e.eq_probed || List.mem_assoc pair e.eq_built
+              then e
+              else { e with eq_probed = pair :: e.eq_probed });
+          None)
+
+(* ------------------------------------------------------------------ *)
 (* Wholesale reconstruction                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -933,6 +1062,7 @@ let rebuild ?(prop_indexes = []) ~next_id ~tombs (node_list : node list)
           g with
           nodes = Imap.add n.n_id n g.nodes;
           label_index = index_node n g.label_index;
+          node_total = g.node_total + 1;
         })
       { empty with next_id; tombs }
       node_list
@@ -961,6 +1091,53 @@ let rebuild ?(prop_indexes = []) ~next_id ~tombs (node_list : node list)
   in
   List.fold_left (fun g (label, key) -> add_prop_index ~label ~key g) g prop_indexes
 
+(** [collapse g ~nodes ~rels] is the MERGE SAME quotient done in
+    place: each [(id, rep)] of [nodes] merges node [id] into [rep] —
+    the relationships still attached to [id] are re-pointed to [rep],
+    then [id] is removed — and every relationship of [rels] is removed
+    first.  Removed entities leave no tombstone and [next_id] is kept,
+    so the result equals {!rebuild} of the surviving entities (with the
+    property indexes re-registered), at a cost proportional to the
+    listed entities and their incident relationships, not to the graph.
+    Every [rep] must be a node that stays. *)
+let collapse g ~nodes ~rels =
+  let g =
+    List.fold_left
+      (fun g id -> match rel g id with None -> g | Some r -> unlink_rel g r)
+      g rels
+  in
+  let reps = List.fold_left (fun m (id, rep) -> Imap.add id rep m) Imap.empty nodes in
+  let repoint id = match Imap.find_opt id reps with Some rep -> rep | None -> id in
+  (* moves [rid] onto its endpoints' representatives.  Only the new
+     endpoints gain entries: a merged endpoint's adjacency goes with
+     [unlink_node], and a relationship between two merged nodes is
+     moved once, from whichever endpoint comes first *)
+  let repoint_rel rid g =
+    let r = Imap.find rid g.rels in
+    let src = repoint r.src and tgt = repoint r.tgt in
+    if src = r.src && tgt = r.tgt then g
+    else
+      let moved_src = src <> r.src and moved_tgt = tgt <> r.tgt in
+      {
+        g with
+        rels = Imap.add rid { r with src; tgt } g.rels;
+        out_adj = (if moved_src then adj_add src rid g.out_adj else g.out_adj);
+        in_adj = (if moved_tgt then adj_add tgt rid g.in_adj else g.in_adj);
+        out_typed =
+          (if moved_src then tadj_add src r.r_type rid g.out_typed else g.out_typed);
+        in_typed =
+          (if moved_tgt then tadj_add tgt r.r_type rid g.in_typed else g.in_typed);
+      }
+  in
+  List.fold_left
+    (fun g (id, _) ->
+      match Imap.find_opt id g.nodes with
+      | None -> g
+      | Some n ->
+          let attached = Iset.union (adj_find id g.out_adj) (adj_find id g.in_adj) in
+          unlink_node (Iset.fold repoint_rel attached g) n)
+    g nodes
+
 (* ------------------------------------------------------------------ *)
 (* Entity views for the evaluator                                     *)
 (* ------------------------------------------------------------------ *)
@@ -982,15 +1159,11 @@ let has_label g id label =
 (** Ids of the nodes carrying [label], in id order — served from the
     label index, so label-anchored pattern scans avoid a full node
     sweep. *)
-let nodes_with_label g label =
-  match Smap.find_opt label g.label_index with
-  | None -> []
-  | Some s -> Iset.elements s
+let nodes_with_label g label = Iset.elements (lindex_ids label g.label_index)
 
 (** All labels in use with their node counts, alphabetically. *)
 let label_histogram g =
-  Smap.fold (fun l s acc -> (l, Iset.cardinal s) :: acc) g.label_index []
-  |> List.rev
+  Smap.fold (fun l b acc -> (l, b.l_size) :: acc) g.label_index [] |> List.rev
 
 (** All relationship types in use with their counts, alphabetically —
     served from the type index. *)

@@ -273,13 +273,40 @@ val nodes_with_prop :
 val count_with_prop :
   t -> label:string -> key:string -> Value.t -> int option
 
+(** {1 Equality buckets}
+
+    Transient value → ids maps for (label, key) pairs that have no
+    registered index, so an equality anchor probed once per driving row
+    is an equi-join, not a label scan per row. *)
+
+(** [nodes_with_eq g ~label ~key v] is [Some ids] — the [label] nodes
+    whose [key] property equals [v] under {!Value.compare_total}, in id
+    order — served by the registered (label, key) index when there is
+    one, otherwise by a memoised equality bucket; [None] means "scan the
+    label bucket yourself".  A pair's bucket is built on its second
+    probe of the same graph version (the first probe returns [None]), is
+    held in one process-wide cell keyed on the graph's node map and
+    published by CAS, and lives until a node update replaces the
+    version; at most eight pairs are held at once.  [Null] yields
+    [Some []]: null never matches.  Like an index bucket, the answer may
+    over-approximate ternary equality (NaN, lists holding null), so
+    callers re-check candidates. *)
+val nodes_with_eq :
+  t -> label:string -> key:string -> Value.t -> node_id list option
+
+(** Equality buckets built so far, process-wide.  Differences between
+    two readings count the builds a span of work paid for. *)
+val eq_bucket_builds_total : unit -> int
+
 (** {1 Wholesale reconstruction} *)
 
 (** [rebuild ~next_id ~tombs nodes rels] constructs a graph from entity
     lists, recomputing adjacency and the type index.  Every relationship
-    endpoint must be present in [nodes].  Used by the MERGE SAME
-    quotient (Section 8.2).  [prop_indexes] re-registers (and rebuilds)
-    the given property indexes on the result.
+    endpoint must be present in [nodes].  The reference transcription
+    of the MERGE SAME quotient (Section 8.2) and the oracles use it;
+    the engine quotients in place with {!collapse}.  [prop_indexes]
+    re-registers (and rebuilds) the given property indexes on the
+    result.
     @raise Invalid_argument on a missing endpoint. *)
 val rebuild :
   ?prop_indexes:(string * string) list ->
@@ -288,6 +315,17 @@ val rebuild :
   node list ->
   rel list ->
   t
+
+(** [collapse g ~nodes ~rels] quotients [g] in place (Section 8.2):
+    every relationship of [rels] is removed, then each [(id, rep)] of
+    [nodes] merges node [id] into [rep] — relationships still attached
+    to [id] are re-pointed to [rep] and [id] is removed.  No tombstones
+    are left and [next_id] is unchanged, so the result equals
+    {!rebuild} of the surviving entities with the property indexes
+    re-registered; adjacency, typed adjacency and the label, type and
+    property indexes are maintained incrementally, so the cost follows
+    the listed entities, not the graph.  Every [rep] must stay. *)
+val collapse : t -> nodes:(node_id * node_id) list -> rels:rel_id list -> t
 
 (** {1 Entity views for the evaluator} *)
 

@@ -149,6 +149,20 @@ let rec equal_strict a b =
       _ ) ->
       false
 
+(** Equality of stored representations: {!equal_strict} except that an
+    [Int] never equals a [Float] — overwriting [1.0] with [1] changes
+    what the graph holds (and prints), so update counters, and the
+    journal that relies on them, must see it. *)
+let rec identical a b =
+  match (a, b) with
+  | Int x, Int y -> x = y
+  | Float x, Float y -> Float.equal x y
+  | List xs, List ys ->
+      List.length xs = List.length ys && List.for_all2 identical xs ys
+  | Map xm, Map ym -> smap_equal identical xm ym
+  | (Int _ | Float _ | List _ | Map _), _ -> false
+  | _ -> equal_strict a b
+
 (* ------------------------------------------------------------------ *)
 (* Total order (used by ORDER BY, DISTINCT and grouping).             *)
 (* ------------------------------------------------------------------ *)

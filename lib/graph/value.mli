@@ -61,6 +61,11 @@ val equal_tri : t -> t -> Tri.t
     stays deterministic. *)
 val equal_strict : t -> t -> bool
 
+(** Equality of stored representations: {!equal_strict}, except that an
+    [Int] never equals a [Float].  Replacing [1.0] by [1] is a change to
+    the graph, and the update counters count it as one. *)
+val identical : t -> t -> bool
+
 (** Total order over all values, by family rank first ([null] last):
     used by [ORDER BY], grouping and [DISTINCT].  [NaN] sorts
     deterministically below every other number (OCaml's

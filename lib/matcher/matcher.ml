@@ -602,20 +602,43 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
 (* Planned execution                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Candidate nodes for a planned anchor.  Bound variables and index
-    lookups still pass through {!node_satisfies}, so an index bucket may
-    safely over-approximate (it is re-filtered). *)
+(** Candidate nodes for a planned anchor.  Every candidate still passes
+    through {!node_check}, so a bucket may safely over-approximate (it is
+    re-filtered).
+
+    A keyed anchor — a registered index, or a {!Plan.Anchor_label}
+    anchor with property constraints, served from {!Graph.nodes_with_eq}
+    on its first constraint — evaluates the anchor's constraints in
+    pattern order up to the keyed one against the current row.  If one
+    fails to evaluate, the candidates fall back to the label bucket and
+    {!node_check} raises the error exactly when a candidate carries
+    every label, as the planner-off fold does.  Otherwise narrowing is
+    invisible: a node outside the bucket fails the keyed constraint,
+    and {!node_check} reaches no constraint after it.  Ids stay in id
+    order. *)
 let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
   let np = plan.Plan.p_anchor in
+  let keyed label is_key lookup =
+    let rec probe = function
+      | [] -> None
+      | ((key, e) as c) :: rest -> (
+          match eval_in ctx st.row e with
+          | exception Ctx.Error _ -> None
+          | v -> if is_key c then lookup ~label ~key v else probe rest)
+    in
+    match probe np.np_props with
+    | Some ids -> ids
+    | None -> Graph.nodes_with_label ctx.graph label
+  in
   match plan.Plan.p_anchor_kind with
   | Plan.Anchor_bound -> (
       match node_candidates st np with Some ids -> ids | None -> [])
-  | Plan.Anchor_prop_index { pi_label; pi_key; pi_value } -> (
-      let v = eval_in ctx st.row pi_value in
-      match Graph.nodes_with_prop ctx.graph ~label:pi_label ~key:pi_key v with
-      | Some ids -> ids
-      | None -> Graph.nodes_with_label ctx.graph pi_label)
-  | Plan.Anchor_label label -> Graph.nodes_with_label ctx.graph label
+  | Plan.Anchor_prop_index { pi_label; pi_key; pi_value } ->
+      keyed pi_label
+        (fun (k, e) -> k = pi_key && e == pi_value)
+        (Graph.nodes_with_prop ctx.graph)
+  | Plan.Anchor_label label ->
+      keyed label (fun _ -> true) (Graph.nodes_with_eq ctx.graph)
   | Plan.Anchor_scan -> Graph.node_ids ctx.graph
 
 exception Not_deferrable

@@ -18,7 +18,17 @@ type anchor_kind =
       pi_key : string;
       pi_value : expr;  (** evaluated again at match time *)
     }  (** exact-value lookup in a registered property index *)
-  | Anchor_label of string  (** label-index scan of the rarest label *)
+  | Anchor_label of string
+      (** label-index scan of the rarest label.  When the anchor pattern
+          carries property constraints, the matcher serves its first
+          one from an equality bucket ({!Cypher_graph.Graph.nodes_with_eq}):
+          a value → ids map over this label's nodes, built on the second
+          probe of the same graph version — so a one-row statement keeps
+          the plain scan and a driving table pays one build — and living
+          until a node update replaces the version.  A bucket holds at
+          most one id per label node, and the graph keeps at most eight
+          (label, key) buckets at once.  Plans and EXPLAIN text are the
+          same either way. *)
   | Anchor_scan  (** full node scan; nothing better available *)
 
 (** One relationship step, oriented.  [h_step] is the step's syntactic

@@ -311,4 +311,159 @@ let prop_index_tests =
           (Graph.nodes_with_prop g' ~label:"User" ~key:"id" (vint 7)));
   ]
 
-let suite = suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests
+(* --- equality buckets ---------------------------------------------- *)
+
+let eq_values =
+  [
+    vint 1; Value.Float 1.0; Value.Float Float.nan; vnull; vlist [ vnull ];
+    vlist [ vint 1; vnull ]; vlist [ Value.Float 1.0; vnull ]; vstr "a";
+    vstr "zz"; vint 2; Value.Float 2.0;
+  ]
+
+(* one :L node per stored value (plus one without the key), and an :M
+   node that carries a matching value under the wrong label *)
+let eq_graph () =
+  let add labels props g = snd (Graph.create_node ~labels ~props g) in
+  let stored =
+    [
+      vint 1; Value.Float 1.0; Value.Float Float.nan; vlist [ vnull ];
+      vlist [ vint 1; vnull ]; vstr "a"; vstr "b"; vint 2;
+    ]
+  in
+  let g =
+    List.fold_left
+      (fun g v -> add [ "L" ] (Props.of_list [ ("v", v) ]) g)
+      Graph.empty stored
+  in
+  let g = add [ "L" ] Props.empty g in
+  add [ "M" ] (Props.of_list [ ("v", vint 1) ]) g
+
+(* the filtered label scan: what a registered index would serve *)
+let scan g ~label ~key v =
+  if Value.is_null v then []
+  else
+    List.filter
+      (fun id ->
+        match Props.get (Graph.node_props_of g id) key with
+        | Value.Null -> false
+        | have -> Value.compare_total have v = 0)
+      (Graph.nodes_with_label g label)
+
+(* probes until the bucket serves (at most twice: the first probe of a
+   pair on a version may decline); every answer served must be the scan *)
+let served name g ~label ~key v =
+  let expected = scan g ~label ~key v in
+  let check = function
+    | Some ids ->
+        Alcotest.(check (list int)) (Fmt.str "%s: %a" name Value.pp v) expected ids;
+        true
+    | None -> false
+  in
+  if not (check (Graph.nodes_with_eq g ~label ~key v)) then
+    if not (check (Graph.nodes_with_eq g ~label ~key v)) then
+      Alcotest.failf "%s: the second probe of a version must serve" name
+
+let eq_bucket_tests =
+  [
+    case "equality bucket equals the filtered label scan" (fun () ->
+        let g = eq_graph () in
+        let indexed = Graph.add_prop_index ~label:"L" ~key:"v" g in
+        List.iter
+          (fun v ->
+            served "bucket" g ~label:"L" ~key:"v" v;
+            Alcotest.(check (option (list int)))
+              (Fmt.str "registered index agrees at %a" Value.pp v)
+              (Some (scan g ~label:"L" ~key:"v" v))
+              (Graph.nodes_with_prop indexed ~label:"L" ~key:"v" v))
+          eq_values;
+        (* Int and Float that compare equal share a bucket; NaN finds
+           only NaN under the total order *)
+        Alcotest.(check (option (list int)))
+          "1 and 1.0" (Graph.nodes_with_eq g ~label:"L" ~key:"v" (vint 1))
+          (Graph.nodes_with_eq g ~label:"L" ~key:"v" (Value.Float 1.0));
+        Alcotest.(check (option (list int)))
+          "null never matches" (Some [])
+          (Graph.nodes_with_eq g ~label:"L" ~key:"v" vnull));
+    case "first probe scans, second builds, later probes reuse" (fun () ->
+        let g = eq_graph () in
+        let builds0 = Graph.eq_bucket_builds_total () in
+        let builds () = Graph.eq_bucket_builds_total () - builds0 in
+        Alcotest.(check (option (list int)))
+          "first probe declines" None
+          (Graph.nodes_with_eq g ~label:"L" ~key:"v" (vint 1));
+        Alcotest.(check int) "no build yet" 0 (builds ());
+        served "second" g ~label:"L" ~key:"v" (vint 1);
+        Alcotest.(check int) "one build" 1 (builds ());
+        List.iter (served "later" g ~label:"L" ~key:"v") eq_values;
+        Alcotest.(check int) "still one build" 1 (builds ());
+        (* a relationship update keeps the node map, so the bucket *)
+        let a = List.hd (Graph.nodes_with_label g "L") in
+        let _, g' = Graph.create_rel ~src:a ~tgt:a ~r_type:"T" g in
+        served "rel update" g' ~label:"L" ~key:"v" (vint 1);
+        Alcotest.(check int) "no rebuild after a rel update" 1 (builds ()));
+    case "a stale bucket is never served" (fun () ->
+        let g = eq_graph () in
+        served "warm" g ~label:"L" ~key:"v" (vint 1);
+        served "warm" g ~label:"L" ~key:"v" (vint 1);
+        let a, b =
+          match scan g ~label:"L" ~key:"v" (vint 1) with
+          | a :: b :: _ -> (a, b)
+          | _ -> Alcotest.fail "fixture needs two nodes equal to 1"
+        in
+        let after_set = Graph.set_node_prop g a "v" (vint 2) in
+        let after_remove = Graph.remove_label g b "L" in
+        let after_delete = Graph.remove_node_detach g a in
+        List.iter
+          (fun (name, g') ->
+            List.iter (served name g' ~label:"L" ~key:"v") eq_values;
+            (* and the original version, probed after another one took
+               the cell, answers for itself *)
+            List.iter (served (name ^ ", original") g ~label:"L" ~key:"v") eq_values)
+          [ ("SET", after_set); ("REMOVE label", after_remove); ("DELETE", after_delete) ];
+        Alcotest.(check bool) "SET moved a to 2" true
+          (List.mem a (scan after_set ~label:"L" ~key:"v" (vint 2))));
+  ]
+
+(* --- in-place quotient --------------------------------------------- *)
+
+let collapse_tests =
+  [
+    case "collapse equals rebuild of the surviving entities" (fun () ->
+        let node labels props g = Graph.create_node ~labels ~props:(Props.of_list props) g in
+        let g = Graph.add_prop_index ~label:"A" ~key:"k" Graph.empty in
+        let gone, g = node [ "A" ] [] g in
+        let g = Graph.remove_node_detach g gone in
+        let p, g = node [ "A" ] [ ("k", vint 1) ] g in
+        let c1, g = node [ "A" ] [ ("k", vint 1) ] g in
+        let c2, g = node [ "A" ] [ ("k", vint 1) ] g in
+        let c3, g = node [ "A"; "B" ] [ ("k", vint 2) ] g in
+        let rel src tgt ty g = Graph.create_rel ~src ~tgt ~r_type:ty g in
+        let _, g = rel p c1 "T" g in
+        let r2, g = rel c2 p "T" g in
+        let _, g = rel c1 c2 "U" g in
+        let _, g = rel c3 c3 "T" g in
+        let _, g = rel c2 c3 "U" g in
+        let merged = [ (c2, c1); (c3, c1) ] and dropped = [ r2 ] in
+        let rep id = Option.value ~default:id (List.assoc_opt id merged) in
+        let expected =
+          Graph.rebuild
+            ~prop_indexes:(Graph.prop_index_keys g)
+            ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g)
+            (List.filter
+               (fun (n : Graph.node) -> not (List.mem_assoc n.Graph.n_id merged))
+               (Graph.nodes g))
+            (List.filter_map
+               (fun (r : Graph.rel) ->
+                 if List.mem r.Graph.r_id dropped then None
+                 else Some { r with Graph.src = rep r.Graph.src; tgt = rep r.Graph.tgt })
+               (Graph.rels g))
+        in
+        let actual = Graph.collapse g ~nodes:merged ~rels:dropped in
+        check_same_graph "collapse" expected actual;
+        Alcotest.(check bool) "no tombstone for merged entities" false
+          (Graph.is_tombstoned actual c2 || Graph.is_tombstoned actual r2));
+  ]
+
+let suite =
+  suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests
+  @ eq_bucket_tests @ collapse_tests

@@ -128,3 +128,73 @@ let suite =
         check_rows "three with shared variables" 2
           (run_table chain "MATCH (a)-[:T]->(b), (b), (a) RETURN a, b"));
   ]
+
+(* --- equality buckets behind unindexed anchors ---------------------- *)
+
+module Config = Cypher_core.Config
+module Table = Cypher_table.Table
+
+(* 300 :U nodes over 37 keys, plus keys that compare equal across Int
+   and Float, a NaN and a string; built fresh per test so every test
+   starts on a graph version no bucket has seen *)
+let keyed () =
+  graph_of
+    "UNWIND range(0, 299) AS i CREATE (:U {k: i % 37, id: i}) WITH count(*) \
+     AS n CREATE (:U {k: 5.0, id: 300}), (:U {k: 0.0 / 0.0, id: 301}), \
+     (:U {k: 'x', id: 302}), (:U {id: 303}), (:V {k: 5, id: 304})"
+
+let keys =
+  List.init 40 string_of_int @ [ "5.0"; "0.0 / 0.0"; "'x'"; "null"; "[5]" ]
+
+let unwind_match ks =
+  "UNWIND [" ^ String.concat ", " ks
+  ^ "] AS x MATCH (u:U {k: x}) RETURN x, u.id AS id"
+
+let planner_off = Config.with_planner Config.Off Config.revised
+
+let bucket_tests =
+  [
+    case "a driving table builds one bucket, a one-row statement none" (fun () ->
+        let builds f =
+          let before = Graph.eq_bucket_builds_total () in
+          f ();
+          Graph.eq_bucket_builds_total () - before
+        in
+        let g = keyed () in
+        Alcotest.(check int) "one-row statement" 0
+          (builds (fun () -> check_rows "rows" 9 (run_table g "MATCH (u:U {k: 3}) RETURN u")));
+        let g = keyed () in
+        Alcotest.(check int) "100-row UNWIND MATCH" 1
+          (builds (fun () ->
+               check_rows "rows" 301
+                 (run_table g
+                    "UNWIND range(0, 99) AS i MATCH (u:U {k: i}) RETURN u"))));
+    case "N one-row runs concatenate to one N-row run, byte for byte" (fun () ->
+        let g = keyed () in
+        let one_row =
+          List.concat_map (fun k -> Table.rows (run_table g (unwind_match [ k ]))) keys
+        in
+        let batch = run_table g (unwind_match keys) in
+        let render rows = Table.to_string (Table.make (Table.columns batch) rows) in
+        Alcotest.(check string) "one-row runs" (render one_row) (Table.to_string batch);
+        Alcotest.(check string) "planner-off run" (Table.to_string batch)
+          (Table.to_string (run_table ~config:planner_off g (unwind_match keys))));
+    case "a bucket never outlives its graph version" (fun () ->
+        let g = keyed () in
+        let q = unwind_match keys in
+        ignore (run_table g q);
+        List.iter
+          (fun update ->
+            let g' = run_graph g update in
+            Alcotest.(check string) update
+              (Table.to_string (run_table ~config:planner_off g' q))
+              (Table.to_string (run_table g' q)))
+          [
+            "MATCH (u:U {id: 3}) SET u.k = 4";
+            "MATCH (u:U {id: 3}) REMOVE u:U";
+            "MATCH (u:U {id: 3}) DETACH DELETE u";
+            "MATCH (v:V) SET v:U";
+          ]);
+  ]
+
+let suite = suite @ bucket_tests

@@ -250,4 +250,172 @@ let figure_tests =
           (run Merge_same));
   ]
 
-let suite = legacy_tests @ revised_tests @ figure_tests
+(* --- the in-place quotient against a rebuild ------------------------- *)
+
+(* [name_elements patterns] names every anonymous element, so the MERGE
+   ALL result table binds each created entity to its position *)
+let name_elements (patterns : pattern list) =
+  let name v fresh = match v with Some _ -> v | None -> Some fresh in
+  List.mapi
+    (fun pi (p : pattern) ->
+      {
+        p with
+        pat_start =
+          { p.pat_start with np_var = name p.pat_start.np_var (Printf.sprintf "q%d_n0" pi) };
+        pat_steps =
+          List.mapi
+            (fun j ((rp : rel_pat), (np : node_pat)) ->
+              ( { rp with rp_var = name rp.rp_var (Printf.sprintf "q%d_r%d" pi j) },
+                { np with np_var = name np.np_var (Printf.sprintf "q%d_n%d" pi (j + 1)) } ))
+            p.pat_steps;
+      })
+    patterns
+
+(* MERGE ALL's output for [src] over [(base, table)] with the entities it
+   created, tagged with their pattern positions as the engine tags them:
+   the input of every collapsing quotient *)
+let merge_all_output src (base, table) =
+  let patterns =
+    match Runner.parse_clause src with
+    | Merge { patterns; _ } -> name_elements patterns
+    | _ -> Alcotest.fail "not a MERGE clause"
+  in
+  let g, t =
+    Cypher_core.Merge.run Config.permissive ~stats:Cypher_core.Stats.null (base, table)
+      ~mode:Merge_all ~patterns ~on_create:[] ~on_match:[]
+  in
+  let node_pos =
+    List.concat
+      (List.mapi
+         (fun pi (p : pattern) ->
+           (Option.get p.pat_start.np_var, (pi, 0))
+           :: List.mapi
+                (fun j ((_ : rel_pat), (np : node_pat)) -> (Option.get np.np_var, (pi, j + 1)))
+                p.pat_steps)
+         patterns)
+  in
+  let rel_pos =
+    List.concat
+      (List.mapi
+         (fun pi (p : pattern) ->
+           List.mapi (fun j ((rp : rel_pat), _) -> (Option.get rp.rp_var, (pi, j))) p.pat_steps)
+         patterns)
+  in
+  let created pos_of =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun row ->
+           List.filter_map
+             (fun (v, pos) ->
+               match Record.find_opt row v with
+               | Some (Value.Node id | Value.Rel id) when id >= Graph.next_id base ->
+                   Some (id, pos)
+               | _ -> None)
+             pos_of)
+         (Table.rows t))
+  in
+  (g, created node_pos, created rel_pos)
+
+let quotient_flags =
+  [ ("WEAK", true, true); ("COLLAPSE", false, true); ("SAME", false, false) ]
+
+(* the reference quotient: filter and re-point the entity lists, then
+   rebuild the whole graph *)
+let rebuilt_quotient g (q : Cypher_core.Quotient.result) =
+  let module Q = Cypher_core.Quotient in
+  Graph.rebuild
+    ~prop_indexes:(Graph.prop_index_keys g)
+    ~next_id:(Graph.next_id g) ~tombs:(Graph.tombstones g)
+    (List.filter (fun (n : Graph.node) -> q.Q.node_map n.Graph.n_id = n.Graph.n_id) (Graph.nodes g))
+    (List.filter_map
+       (fun (r : Graph.rel) ->
+         if q.Q.rel_map r.Graph.r_id <> r.Graph.r_id then None
+         else Some { r with Graph.src = q.Q.node_map r.Graph.src; tgt = q.Q.node_map r.Graph.tgt })
+       (Graph.rels g))
+
+(* every collapsing quotient of one MERGE ALL output, in place and
+   rebuilt; returns how many entities the quotients removed *)
+let check_quotients name src input =
+  let g, new_nodes, new_rels = merge_all_output src input in
+  List.fold_left
+    (fun removed (mode, node_pos_matters, rel_pos_matters) ->
+      let q =
+        Cypher_core.Quotient.apply g ~new_nodes ~new_rels ~node_pos_matters ~rel_pos_matters
+      in
+      let g' = q.Cypher_core.Quotient.graph in
+      check_same_graph (name ^ " " ^ mode) (rebuilt_quotient g q) g';
+      removed + Graph.node_count g - Graph.node_count g' + Graph.rel_count g - Graph.rel_count g')
+    0 quotient_flags
+
+(* a small random base over the Example-5/6 vocabulary and a driving
+   table whose keys collide with it and with each other *)
+let random_batch seed =
+  let rng = Random.State.make [| seed |] in
+  let pick n = Random.State.int rng n in
+  (* about half of the keys 0..3 get a [label] node *)
+  let some label g =
+    List.fold_left
+      (fun (g, acc) k ->
+        if pick 2 = 0 then (g, acc)
+        else
+          let id, g =
+            Graph.create_node ~labels:[ label ] ~props:(Props.of_list [ ("id", vint k) ]) g
+          in
+          (g, id :: acc))
+      (g, []) [ 0; 1; 2; 3 ]
+  in
+  let g = if pick 2 = 0 then Graph.add_prop_index ~label:"User" ~key:"id" Graph.empty else Graph.empty in
+  let g, users = some "User" g in
+  let g, products = some "Product" g in
+  let g =
+    match (users, products) with
+    | [], _ | _, [] -> g
+    | _ ->
+        List.fold_left
+          (fun g _ ->
+            let u = List.nth users (pick (List.length users)) in
+            let p = List.nth products (pick (List.length products)) in
+            let ty = if pick 2 = 0 then "ORDERED" else "OFFERS" in
+            snd (Graph.create_rel ~src:u ~tgt:p ~r_type:ty g))
+          g [ 1; 2; 3 ]
+  in
+  let key () = if pick 6 = 0 then vnull else vint (pick 6) in
+  let table =
+    Table.make [ "cid"; "pid"; "sid" ]
+      (List.init (1 + pick 12) (fun _ ->
+           Record.of_list [ ("cid", vint (pick 6)); ("pid", key ()); ("sid", vint (pick 6)) ]))
+  in
+  (g, table)
+
+let quotient_tests =
+  [
+    case "in-place quotient equals the rebuild on figures E8, E9, E10" (fun () ->
+        let e8 =
+          check_quotients "E8" Fixtures.example5_merge (Graph.empty, Fixtures.example5_table)
+        in
+        let e9 =
+          check_quotients "E9" Fixtures.example6_merge (Graph.empty, Fixtures.example6_table)
+        in
+        let e10 =
+          check_quotients "E10" Fixtures.example7_merge
+            (Fixtures.example7_graph, Fixtures.example7_table)
+        in
+        Alcotest.(check bool) "every figure collapses something" true
+          (e8 > 0 && e9 > 0 && e10 > 0));
+    case "in-place quotient equals the rebuild on random batches" (fun () ->
+        let removed =
+          List.fold_left
+            (fun removed seed ->
+              let input = random_batch seed in
+              removed
+              + check_quotients (Printf.sprintf "seed %d, E8 shape" seed)
+                  Fixtures.example5_merge input
+              + check_quotients (Printf.sprintf "seed %d, E9 shape" seed)
+                  "MERGE (:User {id: cid})-[:ORDERED]->(:Product {id: pid})<-[:OFFERS]-(:User {id: sid})"
+                  input)
+            0 (List.init 60 Fun.id)
+        in
+        Alcotest.(check bool) "the batches collapse something" true (removed > 0));
+  ]
+
+let suite = legacy_tests @ revised_tests @ figure_tests @ quotient_tests

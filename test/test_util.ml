@@ -93,3 +93,61 @@ let golden file =
     match Hashtbl.find_opt (Lazy.force blocks) key with
     | Some v -> v
     | None -> Alcotest.failf "%s has no block %S" file key
+
+(** [check_same_graph name expected actual] asserts that two graphs
+    agree on everything a reader can observe, ids included: the printed
+    entities, the id supply, the tombstones, plain and typed adjacency,
+    the label, type and property indexes, the maintained counts and the
+    dangling set. *)
+let check_same_graph name (expected : Graph.t) (actual : Graph.t) =
+  let chk what = Alcotest.(check string) (name ^ ": " ^ what) in
+  let ids s = String.concat "," (List.map string_of_int (Cypher_util.Maps.Iset.elements s)) in
+  chk "entities" (Graph.to_string expected) (Graph.to_string actual);
+  Alcotest.(check int) (name ^ ": next_id") (Graph.next_id expected) (Graph.next_id actual);
+  Alcotest.(check (list (pair int bool)))
+    (name ^ ": tombstones")
+    (List.map (fun (id, t) -> (id, t = Graph.Tomb_node))
+       (Cypher_util.Maps.Imap.bindings (Graph.tombstones expected)))
+    (List.map (fun (id, t) -> (id, t = Graph.Tomb_node))
+       (Cypher_util.Maps.Imap.bindings (Graph.tombstones actual)));
+  Alcotest.(check int) (name ^ ": node count") (Graph.node_count expected) (Graph.node_count actual);
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": label histogram") (Graph.label_histogram expected) (Graph.label_histogram actual);
+  Alcotest.(check (list (pair string int)))
+    (name ^ ": type histogram") (Graph.type_histogram expected) (Graph.type_histogram actual);
+  List.iter
+    (fun (l, n) ->
+      Alcotest.(check int) (name ^ ": label count " ^ l) n (Graph.label_count actual l);
+      Alcotest.(check int) (name ^ ": label count = bucket size " ^ l)
+        (List.length (Graph.nodes_with_label actual l)) (Graph.label_count actual l);
+      Alcotest.(check (list int)) (name ^ ": label bucket " ^ l)
+        (Graph.nodes_with_label expected l) (Graph.nodes_with_label actual l))
+    (Graph.label_histogram expected);
+  let types = List.map fst (Graph.type_histogram expected) in
+  List.iter
+    (fun id ->
+      let adj what f = chk (Printf.sprintf "%s of %d" what id) (ids (f expected)) (ids (f actual)) in
+      adj "out" (fun g -> Graph.out_rel_ids g id);
+      adj "in" (fun g -> Graph.in_rel_ids g id);
+      List.iter
+        (fun ty ->
+          adj ("out:" ^ ty) (fun g -> Graph.out_rel_ids_typed g id ty);
+          adj ("in:" ^ ty) (fun g -> Graph.in_rel_ids_typed g id ty))
+        types)
+    (Graph.node_ids expected);
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": index keys") (Graph.prop_index_keys expected) (Graph.prop_index_keys actual);
+  List.iter
+    (fun (label, key) ->
+      List.iter
+        (fun (n : Graph.node) ->
+          let v = Props.get n.Graph.n_props key in
+          Alcotest.(check (option (list int)))
+            (Fmt.str "%s: index %s.%s = %a" name label key Value.pp v)
+            (Graph.nodes_with_prop expected ~label ~key v)
+            (Graph.nodes_with_prop actual ~label ~key v))
+        (Graph.nodes expected))
+    (Graph.prop_index_keys expected);
+  Alcotest.(check (list int)) (name ^ ": dangling")
+    (List.map (fun (r : Graph.rel) -> r.Graph.r_id) (Graph.dangling_rels expected))
+    (List.map (fun (r : Graph.rel) -> r.Graph.r_id) (Graph.dangling_rels actual))
