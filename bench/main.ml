@@ -196,6 +196,13 @@ let legacy_merge table () =
        (Runner.run_merge_mode cfg_cypher9 ~mode:Merge_legacy merge_src
           (Graph.empty, table)))
 
+(* a 100-row legacy SET whose MATCH probes an unindexed equality key on
+   the 10³-node marketplace base; every run starts from the same base *)
+let q_set_unwind_eq =
+  parse_q
+    "UNWIND range(0, 99) AS i MATCH (u:User {id: 100000 + i * 6}) SET u.tier \
+     = i % 7"
+
 (* SET workload: 100 products, bump every id — legacy vs atomic *)
 let set_graph =
   Fixtures.marketplace_graph ~vendors:2 ~products:100 ~users:2 ~orders_per_user:1
@@ -402,6 +409,8 @@ let base_tests =
         Sys.opaque_identity (run_q cfg_cypher9 set_graph q_set));
     t "set/atomic/100" (fun () ->
         Sys.opaque_identity (run_q cfg_revised set_graph q_set));
+    t "set/legacy/unindexed/100/base=1e3" (fun () ->
+        Sys.opaque_identity (run_q cfg_cypher9 market1000 q_set_unwind_eq));
     (* delete/* *)
     t "delete/legacy/detach" (fun () ->
         Sys.opaque_identity (run_q cfg_cypher9 market100 q_delete));
@@ -419,6 +428,13 @@ let base_tests =
         Sys.opaque_identity (run_q cfg_revised_stats market100 q_delete));
     (* merge/<variant> on the Example-5 import workload *)
     t "merge/legacy/100" (legacy_merge orders100);
+    (* the same batch over the 10³-node marketplace base: no row
+       matches the base, and every created row makes a new version *)
+    t "merge/legacy/100/base=1e3" (fun () ->
+        Sys.opaque_identity
+          (fst
+             (Runner.run_merge_mode cfg_cypher9 ~mode:Merge_legacy merge_src
+                (market1000, orders100))));
     t "merge/all/100" (merge_graph Merge_all orders100);
     t "merge/grouping/100" (merge_graph Merge_grouping orders100);
     t "merge/weak/100" (merge_graph Merge_weak_collapse orders100);

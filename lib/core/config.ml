@@ -27,7 +27,12 @@ type match_mode = Isomorphic | Homomorphic
 (** Cost-guided match planning (anchor selection, hop orientation —
     see [Matcher.Plan]).  [Off] keeps the naive left-to-right
     enumeration, whose row *order* the legacy order-sensitivity
-    experiments depend on; planning never changes the row *set*. *)
+    experiments depend on; planning never changes the row *set*.  Both
+    read the start node's candidates through the same equality buckets
+    ({!Graph.nodes_with_eq}): [Off] narrows the first label's bucket by
+    the first property constraint, which keeps the label scan's
+    candidates in the same id order, so it changes neither the rows nor
+    their order. *)
 type planner = On | Off
 
 (** Journal durability for sessions opened on a database path

@@ -190,7 +190,10 @@ let collect_item config g0 row item acc =
       | Some t -> C_labels (t, ls) :: acc)
 
 (** Checks well-definedness: no two changes may assign different values
-    to the same property of the same entity (Example 2 must error). *)
+    to the same property of the same entity (Example 2 must error).
+    Values are compared as stored ({!Value.identical}): [1] and [1.0]
+    are different values to assign, and accepting both would leave
+    whichever came last. *)
 let check_conflicts changes =
   let tbl = Hashtbl.create 16 in
   let replace_tbl = Hashtbl.create 4 in
@@ -201,7 +204,7 @@ let check_conflicts changes =
           match Hashtbl.find_opt tbl (t, k) with
           | None -> Hashtbl.add tbl (t, k) v
           | Some v' ->
-              if not (Value.equal_strict v v') then
+              if not (Value.identical v v') then
                 Errors.fail
                   (Errors.Set_conflict
                      { entity = target_value t; key = k; value1 = v'; value2 = v }))
@@ -209,7 +212,8 @@ let check_conflicts changes =
           match Hashtbl.find_opt replace_tbl t with
           | None -> Hashtbl.add replace_tbl t props
           | Some props' ->
-              if not (Props.equal props props') then
+              if not (Value.identical (Props.to_value props) (Props.to_value props'))
+              then
                 Errors.fail
                   (Errors.Set_conflict
                      {
@@ -228,7 +232,7 @@ let check_conflicts changes =
       match Hashtbl.find_opt replace_tbl t with
       | None -> ()
       | Some props ->
-          if not (Value.equal_strict (Props.get props k) v) then
+          if not (Value.identical (Props.get props k) v) then
             Errors.fail
               (Errors.Set_conflict
                  {

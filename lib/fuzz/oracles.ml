@@ -14,7 +14,9 @@
     4. {!wellformed}: after every successful update, the result graph
        must have no dangling relationship endpoints and all maintained
        secondary indexes (label, type, typed adjacency, property) must
-       agree with a from-scratch {!Graph.rebuild}.
+       agree with a from-scratch {!Graph.rebuild}; the equality buckets
+       held for the result's version, after the revised and after the
+       legacy run, must equal fresh builds.
     5. {!parallel_equivalence}: parallelism-on vs parallelism-off
        execution.  Unlike the planner oracle, which tolerates row-order
        changes, the domain-pool fan-out performs an ordered gather, so
@@ -460,10 +462,20 @@ let iter_check f l =
 
 let ids_of_rels rels = List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels
 
+(* equality buckets: every bucket the process-wide cell holds for [g]'s
+   version, built there or carried across node updates, must equal a
+   fresh build over [g] *)
+let eq_buckets_exact (g : Graph.t) : (unit, string) result =
+  match Graph.stale_eq_buckets g with
+  | [] -> Ok ()
+  | (label, key) :: _ ->
+      Error (Fmt.str "equality bucket (%s,%s) disagrees with a fresh build" label key)
+
 (** Compares every maintained index of [g] against [reference], a graph
     freshly rebuilt from [g]'s entity lists: any disagreement means the
     incremental maintenance of some index drifted during the update. *)
 let indexes_agree (g : Graph.t) (reference : Graph.t) : (unit, string) result =
+  let* () = eq_buckets_exact g in
   let* () =
     check
       (Graph.node_count g = Graph.node_count reference)
@@ -998,6 +1010,14 @@ let prepared (g : Graph.t) q : (unit, string) result =
             (Api.execute_full p params g))
 
 let wellformed g q : (unit, string) result =
+  (* the legacy per-record regime carries buckets across the versions
+     of one statement (a MERGE probes after every create); its result
+     may dangle, so only its buckets are audited *)
+  let* () =
+    match run legacy_config g (legacy_query q) with
+    | Error _ -> Ok ()
+    | Ok o -> eq_buckets_exact o.Api.graph
+  in
   match run revised_planned g q with
   | Error _ -> Ok () (* failed statements leave no result graph to audit *)
   | Ok o ->

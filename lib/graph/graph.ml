@@ -192,16 +192,24 @@ type csr_cache = csr_entry option Atomic.t
 (* The equality-bucket cache ({!nodes_with_eq}): one process-global cell
    like the CSR cache, keyed on the physical [nodes] map — buckets read
    only labels and node properties, so relationship updates keep them
-   valid and every node update breaks them.  An entry records the
-   (label, key) pairs probed once on its graph version and the buckets
-   built for pairs probed twice. *)
+   valid.  An entry records the (label, key) pairs probed once on its
+   graph version and the buckets built for pairs probed twice.  A node
+   update carries the entry of the version it starts from to the
+   version it makes, patching each bucket for the one changed node.
+
+   The cell has two slots.  [root] holds the last version probed from
+   scratch, [tip] the newest version reached by carrying; a carry
+   replaces only [tip].  So a batch of node updates keeps its buckets
+   current, while the version it started from keeps its own for the
+   next statement on the same base. *)
 type eq_entry = {
   eq_nodes : node Imap.t;
   eq_probed : (string * string) list;
   eq_built : ((string * string) * Iset.t Vmap.t) list;
 }
 
-type eq_cache = eq_entry option Atomic.t
+type eq_cell = { root : eq_entry option; tip : eq_entry option }
+type eq_cache = eq_cell Atomic.t
 
 (* A label's bucket: the ids of the nodes carrying it, and how many
    there are.  The planner reads the count once per driving row, and a
@@ -249,7 +257,7 @@ let empty =
     tombs = Imap.empty;
     backend = `Persistent;
     ccache = Atomic.make None;
-    eqcache = Atomic.make None;
+    eqcache = Atomic.make { root = None; tip = None };
   }
 
 (* --- label and type index maintenance ------------------------------- *)
@@ -376,6 +384,64 @@ let pindex_fold_node f (n : node) pidx =
 
 let pindex_node_add n pidx = pindex_fold_node vmap_add n pidx
 let pindex_node_remove n pidx = pindex_fold_node vmap_remove n pidx
+
+(* --- equality-bucket carrying --------------------------------------- *)
+
+(* The cell's entry for [g]'s version, from either slot. *)
+let eq_entry_of cell g =
+  match cell with
+  | { root = Some e; _ } when e.eq_nodes == g.nodes -> Some e
+  | { tip = Some e; _ } when e.eq_nodes == g.nodes -> Some e
+  | _ -> None
+
+(* Patches the (label, key) bucket [vmap] for node [id] going from
+   [before] to [after] ([None]: absent). *)
+let eq_patch ~label ~key id before after vmap =
+  let value = function
+    | Some (n : node) when Sset.mem label n.labels -> (
+        match Props.get n.n_props key with Value.Null -> None | v -> Some v)
+    | _ -> None
+  in
+  match (value before, value after) with
+  | Some a, Some b when a == b -> vmap
+  | a, b -> (
+      let vmap = match a with Some a -> vmap_remove a id vmap | None -> vmap in
+      match b with Some b -> vmap_add b id vmap | None -> vmap)
+
+(* [eq_carry g g' id before after] is [g'], made from [g] by changing
+   node [id] from [before] to [after].  When the cell holds an entry for
+   [g]'s version, the entry is carried to [g']'s into the [tip] slot,
+   its buckets patched for [id]: O(built pairs × log n).  Like a probe's
+   publish, a carry lost to a racing domain is retried a few times,
+   then dropped.  A version with no nodes is never carried to: every
+   graph built from {!empty} starts from the same empty node map, so
+   an entry for it would be carried into all of them. *)
+let eq_carry g g' id before after =
+  let rec attempt tries =
+    let observed = Atomic.get g.eqcache in
+    match eq_entry_of observed g with
+    | None -> ()
+    | Some e ->
+        let carried =
+          {
+            eq_nodes = g'.nodes;
+            eq_probed = e.eq_probed;
+            eq_built =
+              List.map
+                (fun (((label, key) as pair), vmap) ->
+                  (pair, eq_patch ~label ~key id before after vmap))
+                e.eq_built;
+          }
+        in
+        if
+          (not
+             (Atomic.compare_and_set g.eqcache observed
+                { observed with tip = Some carried }))
+          && tries > 0
+        then attempt (tries - 1)
+  in
+  if g'.nodes != g.nodes && not (Imap.is_empty g'.nodes) then attempt 3;
+  g'
 
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                             *)
@@ -688,14 +754,16 @@ let create_node ?(labels = []) ?(props = Props.empty) g =
   let id = g.next_id in
   let n = { n_id = id; labels = sset_of_list labels; n_props = props } in
   ( id,
-    {
-      g with
-      nodes = Imap.add id n g.nodes;
-      label_index = index_node n g.label_index;
-      node_total = g.node_total + 1;
-      prop_index = pindex_node_add n g.prop_index;
-      next_id = id + 1;
-    } )
+    eq_carry g
+      {
+        g with
+        nodes = Imap.add id n g.nodes;
+        label_index = index_node n g.label_index;
+        node_total = g.node_total + 1;
+        prop_index = pindex_node_add n g.prop_index;
+        next_id = id + 1;
+      }
+      id None (Some n) )
 
 let create_rel ~src ~tgt ~r_type ?(props = Props.empty) g =
   if not (has_node g src) then
@@ -727,15 +795,17 @@ let update_node g id f =
   | None -> g
   | Some n ->
       let n' = f n in
-      {
-        g with
-        nodes = Imap.add id n' g.nodes;
-        label_index =
-          reindex ~old_labels:n.labels ~new_labels:n'.labels id g.label_index;
-        prop_index =
-          (if Smap.is_empty g.prop_index then g.prop_index
-           else pindex_node_add n' (pindex_node_remove n g.prop_index));
-      }
+      eq_carry g
+        {
+          g with
+          nodes = Imap.add id n' g.nodes;
+          label_index =
+            reindex ~old_labels:n.labels ~new_labels:n'.labels id g.label_index;
+          prop_index =
+            (if Smap.is_empty g.prop_index then g.prop_index
+             else pindex_node_add n' (pindex_node_remove n g.prop_index));
+        }
+        id (Some n) (Some n')
 
 let update_rel g id f =
   match rel g id with
@@ -833,17 +903,19 @@ let remove_rel g id =
    tombstone — the shared core of the node removals and {!collapse}. *)
 let unlink_node g (n : node) =
   let id = n.n_id in
-  {
-    g with
-    nodes = Imap.remove id g.nodes;
-    out_adj = Imap.remove id g.out_adj;
-    in_adj = Imap.remove id g.in_adj;
-    out_typed = Imap.remove id g.out_typed;
-    in_typed = Imap.remove id g.in_typed;
-    label_index = unindex_node n g.label_index;
-    node_total = g.node_total - 1;
-    prop_index = pindex_node_remove n g.prop_index;
-  }
+  eq_carry g
+    {
+      g with
+      nodes = Imap.remove id g.nodes;
+      out_adj = Imap.remove id g.out_adj;
+      in_adj = Imap.remove id g.in_adj;
+      out_typed = Imap.remove id g.out_typed;
+      in_typed = Imap.remove id g.in_typed;
+      label_index = unindex_node n g.label_index;
+      node_total = g.node_total - 1;
+      prop_index = pindex_node_remove n g.prop_index;
+    }
+    id (Some n) None
 
 (** Strict node removal: refuses (returns [Error rels]) when relationships
     are still attached — the revised [DELETE] semantics of Section 7. *)
@@ -970,9 +1042,9 @@ let count_with_prop g ~label ~key v =
 (* Equality buckets for unregistered (label, key) pairs               *)
 (* ------------------------------------------------------------------ *)
 
-(* At most this many buckets live in the cell, so its memory is bounded
-   by [eq_max_pairs] times the node count (plus one map entry per
-   distinct value); further pairs keep scanning. *)
+(* At most this many buckets live in each slot of the cell, so its
+   memory is bounded by twice [eq_max_pairs] times the node count (plus
+   one map entry per distinct value); further pairs keep scanning. *)
 let eq_max_pairs = 8
 
 (* Buckets built, process-wide — the bucket analogue of
@@ -982,20 +1054,28 @@ let eq_builds = Atomic.make 0
 
 let eq_bucket_builds_total () = Atomic.get eq_builds
 
-(* Publishes [f e], where [e] is the cell's entry for [g]'s version (a
-   fresh one when the cell holds another version), by CAS over the
-   observed value.  A publish lost to a racing domain is retried a few
-   times, then dropped: the cell only ever saves work. *)
+(* Publishes [f e], where [e] is the cell's entry for [g]'s version, in
+   the slot that holds it; a version neither slot holds is probed from
+   scratch and takes the [root] slot with a fresh entry.  By CAS over
+   the observed value: a publish lost to a racing domain is retried a
+   few times, then dropped — the cell only ever saves work. *)
 let eq_publish g f =
   let rec attempt tries =
     let observed = Atomic.get g.eqcache in
-    let e =
+    let cell =
       match observed with
-      | Some e when e.eq_nodes == g.nodes -> e
-      | _ -> { eq_nodes = g.nodes; eq_probed = []; eq_built = [] }
+      | { root = Some e; _ } when e.eq_nodes == g.nodes ->
+          { observed with root = Some (f e) }
+      | { tip = Some e; _ } when e.eq_nodes == g.nodes ->
+          { observed with tip = Some (f e) }
+      | _ ->
+          {
+            observed with
+            root = Some (f { eq_nodes = g.nodes; eq_probed = []; eq_built = [] });
+          }
     in
-    if (not (Atomic.compare_and_set g.eqcache observed (Some (f e)))) && tries > 0
-    then attempt (tries - 1)
+    if (not (Atomic.compare_and_set g.eqcache observed cell)) && tries > 0 then
+      attempt (tries - 1)
   in
   attempt 3
 
@@ -1004,22 +1084,24 @@ let eq_publish g f =
     order — from the registered index when there is one, otherwise from
     a transient equality bucket; [None] tells the caller to scan the
     label bucket itself.  The bucket for a (label, key) pair is built
-    on its second probe of the same graph version, so a one-row
-    statement never pays for a build, and lives until a node update
-    replaces the version.  [Null] yields [Some []]. *)
+    on its second probe of the same graph version (or of a version
+    carried from it), so a one-row statement never pays for a build.
+    Node updates carry it, patched, to the versions they make.  [Null],
+    or a label no node carries, yields [Some []] without touching the
+    cell, so no entry is ever held for a graph with no nodes. *)
 let nodes_with_eq g ~label ~key v =
   match nodes_with_prop g ~label ~key v with
   | Some _ as ids -> ids
-  | None when Value.is_null v -> Some []
+  | None when Value.is_null v || label_count g label = 0 -> Some []
   | None -> (
       let pair = (label, key) in
       let lookup vmap =
         match Vmap.find_opt v vmap with Some s -> Iset.elements s | None -> []
       in
-      match Atomic.get g.eqcache with
-      | Some e when e.eq_nodes == g.nodes && List.mem_assoc pair e.eq_built ->
+      match eq_entry_of (Atomic.get g.eqcache) g with
+      | Some e when List.mem_assoc pair e.eq_built ->
           Some (lookup (List.assoc pair e.eq_built))
-      | Some e when e.eq_nodes == g.nodes && List.mem pair e.eq_probed ->
+      | Some e when List.mem pair e.eq_probed ->
           if List.length e.eq_built >= eq_max_pairs then None
           else begin
             let vmap = value_buckets g ~label ~key in
@@ -1042,6 +1124,22 @@ let nodes_with_eq g ~label ~key v =
               then e
               else { e with eq_probed = pair :: e.eq_probed });
           None)
+
+(** [stale_eq_buckets g] is the (label, key) pairs whose bucket in a
+    cell entry for [g]'s version differs from a fresh build over [g]:
+    [[]] when every bucket built or carried for [g] is exact. *)
+let stale_eq_buckets g =
+  let cell = Atomic.get g.eqcache in
+  List.concat_map
+    (function
+      | Some e when e.eq_nodes == g.nodes ->
+          List.filter_map
+            (fun (((label, key) as pair), vmap) ->
+              if Vmap.equal Iset.equal vmap (value_buckets g ~label ~key) then None
+              else Some pair)
+            e.eq_built
+      | _ -> [])
+    [ cell.root; cell.tip ]
 
 (* ------------------------------------------------------------------ *)
 (* Wholesale reconstruction                                           *)

@@ -284,15 +284,29 @@ val count_with_prop :
     order — served by the registered (label, key) index when there is
     one, otherwise by a memoised equality bucket; [None] means "scan the
     label bucket yourself".  A pair's bucket is built on its second
-    probe of the same graph version (the first probe returns [None]), is
-    held in one process-wide cell keyed on the graph's node map and
-    published by CAS, and lives until a node update replaces the
-    version; at most eight pairs are held at once.  [Null] yields
-    [Some []]: null never matches.  Like an index bucket, the answer may
+    probe of the same graph version (the first probe returns [None]).
+    It is held in one process-wide cell keyed on the graph's node map
+    and published by CAS.  The cell has two slots: [root], the last
+    version probed from scratch, and [tip], the newest version reached
+    by carrying.  A node update ({!create_node}, the property and label
+    updates, the node removals, {!collapse}) made from a version the
+    cell holds carries that version's buckets and probed pairs,
+    patched for the one changed node, to the new version's [tip] slot;
+    [root] stays, so the next statement on the same base reuses its
+    buckets.  At most eight pairs are held per slot.  [Null] yields
+    [Some []]: null never matches; so does a label no node carries,
+    without touching the cell.  No entry is held for a graph with no
+    nodes, which every graph built from {!empty} starts from.  Like an index bucket, the answer may
     over-approximate ternary equality (NaN, lists holding null), so
     callers re-check candidates. *)
 val nodes_with_eq :
   t -> label:string -> key:string -> Value.t -> node_id list option
+
+(** The (label, key) pairs whose bucket in a cell entry for [g]'s
+    version (either slot) differs from a fresh build over [g]; [[]]
+    when every bucket built or carried for [g] is exact.  For oracles
+    and tests. *)
+val stale_eq_buckets : t -> (string * string) list
 
 (** Equality buckets built so far, process-wide.  Differences between
     two readings count the builds a span of work paid for. *)

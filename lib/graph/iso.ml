@@ -132,20 +132,27 @@ let isomorphic g1 g2 =
     match stabilise colour1 colour2 with
     | None -> false
     | Some (colour1, colour2) ->
-        (* Candidate classes in g2, indexed by final colour. *)
-        let classes = Hashtbl.create 64 in
-        List.iter
-          (fun (n : Graph.node) ->
-            let c = Hashtbl.find colour2 n.n_id in
-            Hashtbl.replace classes c
-              (n :: Option.value ~default:[] (Hashtbl.find_opt classes c)))
-          nodes2;
-        (* sizes are consulted O(n^2) times by the ordering pass below,
-           so walking the class list each time turns large symmetric
-           classes (thousands of identical created nodes) into minutes *)
+        (* Candidate classes in g2, indexed by final colour: the ids of
+           each class's members.  The search threads the still-unused
+           members through its recursion, so picking a candidate never
+           walks past the nodes already assigned — a walk that is
+           quadratic in the class size on large symmetric classes
+           (thousands of identical created nodes). *)
+        let by_id2 = Hashtbl.create 64 in
+        let classes =
+          List.fold_left
+            (fun classes (n : Graph.node) ->
+              Hashtbl.replace by_id2 n.n_id n;
+              Imap.update
+                (Hashtbl.find colour2 n.n_id)
+                (fun s -> Some (Iset.add n.n_id (Option.value ~default:Iset.empty s)))
+                classes)
+            Imap.empty nodes2
+        in
+        (* sizes are consulted O(n^2) times by the ordering pass below *)
         let class_sizes = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun c members -> Hashtbl.replace class_sizes c (List.length members))
+        Imap.iter
+          (fun c members -> Hashtbl.replace class_sizes c (Iset.cardinal members))
           classes;
         let class_size c =
           Option.value ~default:0 (Hashtbl.find_opt class_sizes c)
@@ -239,21 +246,26 @@ let isomorphic g1 g2 =
           in
           key1 = key2
         in
-        let rec assign mapping used = function
+        (* [unused] maps each colour to its members not yet assigned *)
+        let rec assign mapping used unused = function
           | [] -> rels_ok mapping
           | (n1 : Graph.node) :: rest ->
               let c = Hashtbl.find colour1 n1.n_id in
-              List.exists
-                (fun (n2 : Graph.node) ->
-                  (not (Iset.mem n2.n_id used))
-                  && consistent mapping used n1 n2
+              let members =
+                Option.value ~default:Iset.empty (Imap.find_opt c unused)
+              in
+              Seq.exists
+                (fun id2 ->
+                  let n2 = Hashtbl.find by_id2 id2 in
+                  consistent mapping used n1 n2
                   && assign
-                       (Imap.add n1.n_id n2.n_id mapping)
-                       (Iset.add n2.n_id used)
+                       (Imap.add n1.n_id id2 mapping)
+                       (Iset.add id2 used)
+                       (Imap.add c (Iset.remove id2 members) unused)
                        rest)
-                (Option.value ~default:[] (Hashtbl.find_opt classes c))
+                (Iset.to_rev_seq members)
         in
-        assign Imap.empty Iset.empty ordered1
+        assign Imap.empty Iset.empty classes ordered1
 
 (** [check_isomorphic ~expected ~actual] is [Ok ()] or a diagnostic
     message showing both graphs; convenient in tests and experiments. *)

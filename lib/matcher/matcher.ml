@@ -172,16 +172,45 @@ let node_candidates st (np : node_pat) : Value.node_id list option =
       | None -> None)
   | None -> None
 
+(** [keyed ctx st np label is_key lookup] narrows the [label] bucket
+    for the unbound node pattern [np] by a keyed constraint.  The
+    constraints of [np] are evaluated in pattern order against the
+    current row up to the first one [is_key] accepts, whose value
+    [lookup ~label ~key] serves.  If one fails to evaluate, or [lookup]
+    declines, the candidates are the whole label bucket, and
+    {!node_check} raises the error exactly when a candidate carries
+    every label, as an unnarrowed scan does.  Otherwise narrowing is
+    invisible: a node outside the bucket fails the keyed constraint,
+    and {!node_check} reaches no constraint after it.  Ids stay in id
+    order. *)
+let keyed (ctx : Ctx.t) st (np : node_pat) label is_key lookup =
+  let rec probe = function
+    | [] -> None
+    | ((key, e) as c) :: rest -> (
+        match eval_in ctx st.row e with
+        | exception Ctx.Error _ -> None
+        | v -> if is_key c then lookup ~label ~key v else probe rest)
+  in
+  match probe np.np_props with
+  | Some ids -> ids
+  | None -> Graph.nodes_with_label ctx.graph label
+
+(** The planner-off start of a pattern: the nodes [np] may bind, each
+    with its extended state, in id order.  A bound variable yields its
+    binding; an unbound labelled node reads its first label's bucket,
+    narrowed by its first property constraint through
+    {!Graph.nodes_with_eq} ({!keyed}); an unlabelled one scans every
+    node.  The candidates kept are those of the label scan, in the same
+    order, so the fold's rows and their order are the scan's. *)
 let match_node (ctx : Ctx.t) st (np : node_pat) : (state * Value.node_id) list =
   let candidates =
     match node_candidates st np with
     | Some ids -> ids
     | None -> (
-        (* anchor the scan on a label when the pattern carries one: the
-           store's label index avoids a full node sweep *)
         match np.np_labels with
         | [] -> Graph.node_ids ctx.graph
-        | label :: _ -> Graph.nodes_with_label ctx.graph label)
+        | label :: _ ->
+            keyed ctx st np label (fun _ -> true) (Graph.nodes_with_eq ctx.graph))
   in
   let check = node_check ctx np in
   List.filter_map
@@ -604,41 +633,21 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
 
 (** Candidate nodes for a planned anchor.  Every candidate still passes
     through {!node_check}, so a bucket may safely over-approximate (it is
-    re-filtered).
-
-    A keyed anchor — a registered index, or a {!Plan.Anchor_label}
-    anchor with property constraints, served from {!Graph.nodes_with_eq}
-    on its first constraint — evaluates the anchor's constraints in
-    pattern order up to the keyed one against the current row.  If one
-    fails to evaluate, the candidates fall back to the label bucket and
-    {!node_check} raises the error exactly when a candidate carries
-    every label, as the planner-off fold does.  Otherwise narrowing is
-    invisible: a node outside the bucket fails the keyed constraint,
-    and {!node_check} reaches no constraint after it.  Ids stay in id
-    order. *)
+    re-filtered).  A keyed anchor — a registered index, or a
+    {!Plan.Anchor_label} anchor with property constraints, served from
+    {!Graph.nodes_with_eq} on its first constraint — is narrowed by
+    {!keyed}, the same rule as the planner-off start {!match_node}. *)
 let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
   let np = plan.Plan.p_anchor in
-  let keyed label is_key lookup =
-    let rec probe = function
-      | [] -> None
-      | ((key, e) as c) :: rest -> (
-          match eval_in ctx st.row e with
-          | exception Ctx.Error _ -> None
-          | v -> if is_key c then lookup ~label ~key v else probe rest)
-    in
-    match probe np.np_props with
-    | Some ids -> ids
-    | None -> Graph.nodes_with_label ctx.graph label
-  in
   match plan.Plan.p_anchor_kind with
   | Plan.Anchor_bound -> (
       match node_candidates st np with Some ids -> ids | None -> [])
   | Plan.Anchor_prop_index { pi_label; pi_key; pi_value } ->
-      keyed pi_label
+      keyed ctx st np pi_label
         (fun (k, e) -> k = pi_key && e == pi_value)
         (Graph.nodes_with_prop ctx.graph)
   | Plan.Anchor_label label ->
-      keyed label (fun _ -> true) (Graph.nodes_with_eq ctx.graph)
+      keyed ctx st np label (fun _ -> true) (Graph.nodes_with_eq ctx.graph)
   | Plan.Anchor_scan -> Graph.node_ids ctx.graph
 
 exception Not_deferrable

@@ -424,6 +424,133 @@ let eq_bucket_tests =
           (List.mem a (scan after_set ~label:"L" ~key:"v" (vint 2))));
   ]
 
+(* --- equality buckets carried across node updates ------------------- *)
+
+(* builds the (L, v) bucket on [g]'s version: the second probe builds *)
+let warm g =
+  ignore (Graph.nodes_with_eq g ~label:"L" ~key:"v" (vint 1));
+  ignore (Graph.nodes_with_eq g ~label:"L" ~key:"v" (vint 1))
+
+(* [g'] holds a carried bucket: every probe serves on the version's
+   first probe, equal to the scan, and no build is paid for it *)
+let carried name g' =
+  let builds0 = Graph.eq_bucket_builds_total () in
+  Alcotest.(check (list (pair string string)))
+    (name ^ ": carried bucket equals a fresh build") [] (Graph.stale_eq_buckets g');
+  List.iter
+    (fun v ->
+      Alcotest.(check (option (list int)))
+        (Fmt.str "%s: served at %a" name Value.pp v)
+        (Some (scan g' ~label:"L" ~key:"v" v))
+        (Graph.nodes_with_eq g' ~label:"L" ~key:"v" v))
+    eq_values;
+  Alcotest.(check int) (name ^ ": no build") 0 (Graph.eq_bucket_builds_total () - builds0)
+
+(* the :L nodes equal to 1, and the :M node carrying v = 1 *)
+let eq_fixture () =
+  let g = eq_graph () in
+  let a, b =
+    match scan g ~label:"L" ~key:"v" (vint 1) with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "fixture needs two nodes equal to 1"
+  in
+  let m = List.hd (Graph.nodes_with_label g "M") in
+  let _, g = Graph.create_rel ~src:a ~tgt:b ~r_type:"T" g in
+  (g, a, b, m)
+
+let carry_tests =
+  [
+    case "a carried bucket equals a rebuilt one after every node update" (fun () ->
+        let g, a, b, m = eq_fixture () in
+        List.iter
+          (fun (name, update) ->
+            warm g;
+            let g' = update g in
+            carried name g';
+            Alcotest.(check (list (pair string string)))
+              (name ^ ": the base keeps its bucket") [] (Graph.stale_eq_buckets g))
+          [
+            ( "create",
+              fun g ->
+                snd
+                  (Graph.create_node ~labels:[ "L" ]
+                     ~props:(Props.of_list [ ("v", vint 1) ])
+                     g) );
+            ("SET of the key", fun g -> Graph.set_node_prop g a "v" (vint 2));
+            ("SET of the key to an equal Float", fun g ->
+                Graph.set_node_prop g a "v" (Value.Float 1.0));
+            ("SET to null", fun g -> Graph.set_node_prop g a "v" vnull);
+            ("SET of another key", fun g -> Graph.set_node_prop g a "w" (vint 9));
+            ("label add", fun g -> Graph.add_label g m "L");
+            ("label remove", fun g -> Graph.remove_label g a "L");
+            ("DETACH delete", fun g -> Graph.remove_node_detach g a);
+            ("force delete", fun g -> Graph.remove_node_force g a);
+            ("collapse", fun g -> Graph.collapse g ~nodes:[ (b, a) ] ~rels:[]);
+          ]);
+    case "buckets carry along a chain of updates" (fun () ->
+        let g, a, b, m = eq_fixture () in
+        warm g;
+        (* the tip slot holds the newest version only: each step is
+           probed before the next one replaces it *)
+        ignore
+          (List.fold_left
+             (fun g (name, update) ->
+               let g' = update g in
+               carried name g';
+               g')
+             g
+             [
+               ("SET", fun g -> Graph.set_node_prop g a "v" (vint 2));
+               ("label add", fun g -> Graph.add_label g m "L");
+               ( "create",
+                 fun g ->
+                   snd
+                     (Graph.create_node ~labels:[ "L" ]
+                        ~props:(Props.of_list [ ("v", vstr "a") ])
+                        g) );
+               ("DETACH delete", fun g -> Graph.remove_node_detach g b);
+             ]));
+    case "the root slot survives a carry" (fun () ->
+        let g, a, _, _ = eq_fixture () in
+        let builds0 = Graph.eq_bucket_builds_total () in
+        warm g;
+        let g' = Graph.set_node_prop g a "v" (vint 2) in
+        carried "tip" g';
+        (* a second statement on the same base reads the root slot *)
+        List.iter (served "root" g ~label:"L" ~key:"v") eq_values;
+        Alcotest.(check int) "one build for both versions" 1
+          (Graph.eq_bucket_builds_total () - builds0));
+    case "the empty graph holds no entry, so nothing carries from it" (fun () ->
+        (* every graph built from [Graph.empty] starts from the same empty
+           node map: an entry for it would reach all of them *)
+        Alcotest.(check (option (list int))) "empty label bucket" (Some [])
+          (Graph.nodes_with_eq Graph.empty ~label:"Lz" ~key:"v" (vint 1));
+        Alcotest.(check (option (list int))) "again" (Some [])
+          (Graph.nodes_with_eq Graph.empty ~label:"Lz" ~key:"v" (vint 1));
+        let _, g =
+          Graph.create_node ~labels:[ "Lz" ] ~props:(Props.of_list [ ("v", vint 1) ]) Graph.empty
+        in
+        Alcotest.(check (option (list int))) "first probe of a new graph declines" None
+          (Graph.nodes_with_eq g ~label:"Lz" ~key:"v" (vint 1));
+        (* nor is a version left with no nodes carried to *)
+        ignore (Graph.remove_node_detach g (List.hd (Graph.node_ids g)));
+        let _, fresh =
+          Graph.create_node ~labels:[ "Lz" ] ~props:(Props.of_list [ ("v", vint 1) ]) Graph.empty
+        in
+        Alcotest.(check (option (list int))) "a graph built from empty starts cold" None
+          (Graph.nodes_with_eq fresh ~label:"Lz" ~key:"v" (vint 1)));
+    case "a probed pair carries: its next probe builds" (fun () ->
+        let g, a, _, _ = eq_fixture () in
+        let builds0 = Graph.eq_bucket_builds_total () in
+        Alcotest.(check (option (list int))) "first probe declines" None
+          (Graph.nodes_with_eq g ~label:"L" ~key:"v" (vint 1));
+        let g' = Graph.set_node_prop g a "v" (vint 2) in
+        served "second probe, on the carried version" g' ~label:"L" ~key:"v" (vint 2);
+        Alcotest.(check int) "built on the second probe" 1
+          (Graph.eq_bucket_builds_total () - builds0);
+        carried "later" g');
+  ]
+
 (* --- in-place quotient --------------------------------------------- *)
 
 let collapse_tests =
@@ -466,4 +593,4 @@ let collapse_tests =
 
 let suite =
   suite @ histogram_tests @ typed_adjacency_tests @ prop_index_tests
-  @ eq_bucket_tests @ collapse_tests
+  @ eq_bucket_tests @ carry_tests @ collapse_tests

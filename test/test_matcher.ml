@@ -133,6 +133,7 @@ let suite =
 
 module Config = Cypher_core.Config
 module Table = Cypher_table.Table
+module Api = Cypher_core.Api
 
 (* 300 :U nodes over 37 keys, plus keys that compare equal across Int
    and Float, a NaN and a string; built fresh per test so every test
@@ -197,4 +198,58 @@ let bucket_tests =
           ]);
   ]
 
-let suite = suite @ bucket_tests
+(* --- the planner-off anchor reads the same buckets ------------------ *)
+
+let builds f =
+  let before = Graph.eq_bucket_builds_total () in
+  f ();
+  Graph.eq_bucket_builds_total () - before
+
+let legacy_order order = Config.with_order order Config.cypher9
+
+let naive_tests =
+  [
+    case "a 100-row legacy SET builds one bucket" (fun () ->
+        let g = keyed () in
+        Alcotest.(check int) "one build" 1
+          (builds (fun () ->
+               check_rows "rows" 301
+                 (run_table ~config:Config.cypher9 g
+                    "UNWIND range(0, 99) AS i MATCH (u:U {k: i}) SET u.seen = i \
+                     RETURN u.id"))));
+    case "two statements on the same base build once" (fun () ->
+        let g = keyed () in
+        let q = "UNWIND range(0, 99) AS i MATCH (u:U {k: i}) SET u.seen = i" in
+        Alcotest.(check int) "one build for both" 1
+          (builds (fun () ->
+               ignore (run_graph ~config:Config.cypher9 g q);
+               ignore (run_graph ~config:Config.cypher9 g q))));
+    case "planner-off rows equal a label scan's under every record order" (fun () ->
+        (* the WHERE form never reads a bucket: the label scan filtered *)
+        let forms body =
+          let ks = "[" ^ String.concat ", " keys ^ "]" in
+          ( Printf.sprintf "UNWIND %s AS x MATCH (u:U {k: x}) %s" ks body,
+            Printf.sprintf "UNWIND %s AS x MATCH (u:U) WHERE u.k = x %s" ks body )
+        in
+        List.iter
+          (fun order ->
+            let config = legacy_order order in
+            List.iter
+              (fun body ->
+                let narrowed, scanned = forms body in
+                let g = keyed () in
+                let o1 = run ~config g narrowed and o2 = run ~config g scanned in
+                Alcotest.(check string) (narrowed ^ " table")
+                  (Table.to_string o2.Api.table) (Table.to_string o1.Api.table);
+                Alcotest.(check string) (narrowed ^ " graph")
+                  (Graph.to_string o2.Api.graph) (Graph.to_string o1.Api.graph))
+              [
+                "RETURN x, u.id AS id";
+                "SET u.last = x, u.n = coalesce(u.n, 0) + 1 RETURN x, u.id AS id, \
+                 u.last AS last, u.n AS n";
+                "DETACH DELETE u RETURN x";
+              ])
+          [ Config.Forward; Config.Reverse; Config.Seeded 7; Config.Seeded 2026 ]);
+  ]
+
+let suite = suite @ bucket_tests @ naive_tests

@@ -60,6 +60,44 @@ let legacy_tests =
         check_value "not created" vnull (Props.get n.Graph.n_props "created"));
   ]
 
+(* Legacy MERGE makes a new graph version on every created row; the
+   equality bucket its anchor reads is carried across them, so a batch
+   builds it once *)
+let legacy_bucket_tests =
+  let builds f =
+    let before = Graph.eq_bucket_builds_total () in
+    let r = f () in
+    (r, Graph.eq_bucket_builds_total () - before)
+  in
+  let base () = graph_of "UNWIND range(0, 199) AS i CREATE (:X {v: i})" in
+  [
+    case "a 100-row legacy MERGE builds one bucket" (fun () ->
+        let g, n =
+          builds (fun () ->
+              run_graph ~config:Config.cypher9 (base ())
+                "UNWIND range(0, 99) AS i MERGE (:X {v: i * 3 % 250})")
+        in
+        Alcotest.(check int) "one build" 1 n;
+        let absent =
+          List.sort_uniq compare
+            (List.filter (fun v -> v >= 200) (List.init 100 (fun i -> i * 3 mod 250)))
+        in
+        Alcotest.(check int) "one node per absent key" (200 + List.length absent)
+          (Graph.node_count g));
+    case "a 100-row legacy MERGE of a path builds at most one bucket" (fun () ->
+        let g, n =
+          builds (fun () ->
+              run_graph ~config:Config.cypher9 (base ())
+                "UNWIND range(0, 99) AS i MERGE (:X {v: i % 230})-[:T]->(:Y {w: i % 7})")
+        in
+        Alcotest.(check int) "one build" 1 n;
+        (* rows repeating an (X, Y) pair match the path their first
+           occurrence created *)
+        let pairs = List.sort_uniq compare (List.init 100 (fun i -> (i mod 230, i mod 7))) in
+        Alcotest.(check int) "one path per distinct pair" (List.length pairs)
+          (Graph.rel_count g));
+  ]
+
 (* helpers over explicit driving tables *)
 let run_mode ?(config = Config.permissive) mode src (g, t) =
   Runner.run_merge_mode config ~mode src (g, t)
@@ -418,4 +456,4 @@ let quotient_tests =
         Alcotest.(check bool) "the batches collapse something" true (removed > 0));
   ]
 
-let suite = legacy_tests @ revised_tests @ figure_tests @ quotient_tests
+let suite = legacy_tests @ legacy_bucket_tests @ revised_tests @ figure_tests @ quotient_tests
