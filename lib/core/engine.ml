@@ -173,9 +173,9 @@ let exec_match ?slot config (g, t) ~optional ~patterns ~where =
         (* fully-inverted enumeration first: rows arrive in natural
            order over the compiled slot layout, already consistent —
            one list spine, no reversal, no projection.  The rows bind
-           exactly [columns]: natural success means every pattern
-           variable landed in a distinct previously-absent slot of the
-           layout compiled from these very columns. *)
+           exactly [columns]: the layout is compiled from these very
+           columns, and the matcher fills every pattern variable's
+           slot. *)
         match Matcher.match_patterns_natural ~mode ~planner ?plans ctx patterns with
         | Some rows ->
             let rows = if rows = [] && optional then [ pad row ] else rows in

@@ -93,10 +93,12 @@ type env = {
   mutable nodes : string list;  (** bound node variables, oldest first *)
   mutable rels : string list;  (** bound relationship variables *)
   mutable scalars : string list;  (** bound scalar (integer) variables *)
+  mutable walks : string list;
+      (** bound paths and relationship lists: only ever projected *)
   mutable next : int;  (** fresh-name counter *)
 }
 
-let new_env () = { nodes = []; rels = []; scalars = []; next = 0 }
+let new_env () = { nodes = []; rels = []; scalars = []; walks = []; next = 0 }
 
 let fresh env prefix =
   let i = env.next in
@@ -118,7 +120,12 @@ let fresh_scalar env =
   env.scalars <- env.scalars @ [ v ];
   v
 
-let all_vars env = env.nodes @ env.rels @ env.scalars
+let fresh_walk env prefix =
+  let v = fresh env prefix in
+  env.walks <- env.walks @ [ v ];
+  v
+
+let all_vars env = env.nodes @ env.rels @ env.scalars @ env.walks
 
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                        *)
@@ -177,9 +184,13 @@ let predicate rng env =
    scalars, properties of nodes bound before the clause), so an anchor
    under a multi-row driving table is probed with different keys per
    row — the equality-bucket path of the planned matcher. *)
-let read_node_pat rng env ~ctx_nodes ~ctx_scalars =
-  (* occasionally re-use an already-bound node variable: a join point *)
-  if env.nodes <> [] && Rng.chance rng 1 6 then
+let read_node_pat ~local rng env ~ctx_nodes ~ctx_scalars =
+  (* occasionally re-use an already-bound node variable: a join point,
+     or, from [local] (the pattern's own earlier nodes), a cycle such as
+     (a)-->(b)-->(a) *)
+  if local <> [] && Rng.chance rng 1 8 then
+    { np_var = Some (Rng.pick_list rng local); np_labels = []; np_props = [] }
+  else if env.nodes <> [] && Rng.chance rng 1 6 then
     { np_var = Some (Rng.pick_list rng env.nodes); np_labels = []; np_props = [] }
   else
     let var = if Rng.chance rng 2 3 then Some (fresh_node env) else None in
@@ -194,9 +205,10 @@ let read_node_pat rng env ~ctx_nodes ~ctx_scalars =
 let read_rel_pat rng env =
   let dir = Rng.pick rng [| Out; In; Undirected |] in
   if Rng.chance rng 1 8 then
-    (* variable-length step: anonymous, type-restricted, short range *)
+    (* variable-length step: type-restricted, short range, sometimes
+       binding its relationship list *)
     {
-      rp_var = None;
+      rp_var = (if Rng.bool rng then Some (fresh_walk env "l") else None);
       rp_types = [ Rng.pick rng rel_types ];
       rp_props = [];
       rp_dir = dir;
@@ -211,14 +223,18 @@ let read_rel_pat rng env =
     { rp_var = var; rp_types = types; rp_props = props; rp_dir = dir; rp_range = None }
 
 let read_pattern rng env ~ctx_nodes ~ctx_scalars =
-  let start = read_node_pat rng env ~ctx_nodes ~ctx_scalars in
+  let start = read_node_pat ~local:[] rng env ~ctx_nodes ~ctx_scalars in
   let n_steps = Rng.range rng 0 2 in
+  let local = ref (Option.to_list start.np_var) in
   let steps =
     List.init n_steps (fun _ ->
         let rp = read_rel_pat rng env in
-        (rp, read_node_pat rng env ~ctx_nodes ~ctx_scalars))
+        let np = read_node_pat ~local:!local rng env ~ctx_nodes ~ctx_scalars in
+        local := !local @ Option.to_list np.np_var;
+        (rp, np))
   in
-  { pat_var = None; pat_start = start; pat_steps = steps }
+  let pat_var = if Rng.chance rng 1 6 then Some (fresh_walk env "p") else None in
+  { pat_var; pat_start = start; pat_steps = steps }
 
 let gen_match rng env =
   let ctx_nodes = env.nodes and ctx_scalars = env.scalars in
@@ -404,6 +420,7 @@ let gen_with rng env =
   env.scalars <-
     List.filter (fun v -> List.mem v kept) env.scalars
     @ Option.to_list agg_alias;
+  env.walks <- List.filter (fun v -> List.mem v kept) env.walks;
   let where =
     if Rng.chance rng 1 4 then Some (predicate rng env) else None
   in

@@ -98,32 +98,6 @@ let rel_satisfies (ctx : Ctx.t) row (rp : rel_pat) (r : Graph.rel) =
   | types -> List.mem r.Graph.r_type types)
   && rel_props_satisfy ctx row rp r
 
-(** [compile_rel_check ctx csr rp] is the per-relationship predicate of
-    [rp] minus whatever the adjacency enumeration already guarantees:
-    the CSR fold filters by interned type symbol (for any arity of type
-    list), so under it only property predicates remain — and a
-    property-free pattern needs no per-relationship check at all.  The
-    persistent path's typed adjacency only covers the single-type case,
-    so it keeps the full {!rel_satisfies}. *)
-let compile_rel_check (ctx : Ctx.t) ~csr (rp : rel_pat) :
-    Record.t -> Graph.rel -> bool =
-  if csr then
-    match rp.rp_props with
-    | [] -> fun _ _ -> true
-    | _ -> fun row r -> rel_props_satisfy ctx row rp r
-  else fun row r -> rel_satisfies ctx row rp r
-
-(** Would {!bind_var} succeed?  The conflicting-rebinding test alone,
-    without committing the binding — for leaf positions whose extended
-    state nothing will ever read (see {!count_pattern_planned}). *)
-let bind_check st var v =
-  match var with
-  | None -> true
-  | Some name -> (
-      match Record.find_opt st.row name with
-      | None -> true
-      | Some existing -> Value.equal_strict existing v)
-
 (** Binds [var] to [v] in [row], failing (None) on conflicting
     rebinding — the row-level core shared by {!bind_var} and the
     precompiled binding sites. *)
@@ -224,26 +198,26 @@ let match_node (ctx : Ctx.t) st (np : node_pat) : (state * Value.node_id) list =
 
 let flip = function Out -> In | In -> Out | Undirected -> Undirected
 
-(* [fold_adjacent g src_id rp ~reversed f acc] (below) folds [f] over
-   the relationships at [src_id] compatible with the direction of [rp]
-   (flipped under [~reversed], for hops traversed right-to-left),
-   pairing each with the node at the far end, in relationship-id order.
-   A single-type pattern is served from the typed adjacency index —
-   same id order as filtering the full neighbour list, but without
-   touching non-matching types.  Folding (rather than materialising a
-   neighbour list) keeps the per-hop allocation at zero; hop
-   enumeration is the innermost loop of every MATCH and MERGE.
+(* A hop's adjacency enumeration ({!compile_adjacent}, below) folds
+   over the relationships at a node compatible with the direction of
+   the relationship pattern (flipped under [~reversed], for hops
+   traversed right-to-left), pairing each with the node at the far end,
+   in relationship-id order.  A single-type pattern is served from the
+   typed adjacency index — same id order as filtering the full
+   neighbour list, but without touching non-matching types.  Folding
+   (rather than materialising a neighbour list) keeps the per-hop
+   allocation at zero; hop enumeration is the innermost loop of every
+   MATCH and MERGE.
 
    Compact-backend fast path: the per-node CSR slices are
    relationship-id-sorted copies of the persistent adjacency sets, so
    filtering them by interned type symbol yields exactly the persistent
    path's enumeration, without set unions or per-rel map lookups.  The
-   index-level core passes [f] the dense relationship index and the far
-   node id, both plain ints — the relationship *record* is never
-   touched, so a caller that only needs ints (the counting leaf, the
-   BFS frontier) stays record-free.  Ordering the undirected merge
-   compares dense indices directly: the builder assigns them in id
-   order, so index order is id order. *)
+   index-level core passes its callback the dense relationship index
+   and the far node id, both plain ints, so the shortest-path BFS stays
+   record-free.  Ordering the undirected merge compares dense indices
+   directly: the builder assigns them in id order, so index order is id
+   order. *)
 
 (** [compile_tymatch rp] resolves the pattern's type names to interned
     symbols, once — the per-relationship test is then an int comparison.
@@ -260,10 +234,9 @@ let compile_tymatch (rp : rel_pat) : int -> bool =
       let syms = List.filter_map Symtab.find types in
       fun t -> List.mem t syms
 
-(** The direction-and-type-resolved core of CSR hop enumeration; the
-    public entry points resolve [tymatch]/[dir] per call, the compiled
-    hot paths ({!compile_adjacent}, the shortest-path BFS) hoist that
-    resolution out of their loops. *)
+(** The direction-and-type-resolved core of CSR hop enumeration; its
+    callers ({!compile_adjacent}, the shortest-path BFS) resolve
+    [tymatch] and [dir] once, outside their loops. *)
 let fold_adjacent_csr_tyd (c : Graph.Csr.t) ~tymatch ~dir src_id
     (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
   let open Graph.Csr in
@@ -373,20 +346,8 @@ let fold_adjacent_csr_tyd_rev (c : Graph.Csr.t) ~tymatch ~dir src_id
         in
         merge (c.out_off.(i + 1) - 1) (c.in_off.(i + 1) - 1) acc
 
-let fold_adjacent_csr_idx (c : Graph.Csr.t) src_id (rp : rel_pat) ~reversed
-    (f : int -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  let tymatch = compile_tymatch rp in
-  let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-  fold_adjacent_csr_tyd c ~tymatch ~dir src_id f acc
-
-let fold_adjacent_csr (c : Graph.Csr.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  fold_adjacent_csr_idx c src_id rp ~reversed
-    (fun j far acc -> f c.Graph.Csr.rel_recs.(j) far acc)
-    acc
-
 let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
+    (f : Value.rel_id -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
   let out_set, in_set =
     match rp.rp_types with
     | [ ty ] ->
@@ -398,15 +359,11 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
   match dir with
   | Out ->
       Iset.fold
-        (fun rid acc ->
-          let r = Graph.rel_exn g rid in
-          f r r.Graph.tgt acc)
+        (fun rid acc -> f rid (Graph.rel_exn g rid).Graph.tgt acc)
         out_set acc
   | In ->
       Iset.fold
-        (fun rid acc ->
-          let r = Graph.rel_exn g rid in
-          f r r.Graph.src acc)
+        (fun rid acc -> f rid (Graph.rel_exn g rid).Graph.src acc)
         in_set acc
   | Undirected ->
       (* the incident set is a union of the two adjacency sets, so a
@@ -417,138 +374,145 @@ let fold_adjacent_maps (g : Graph.t) src_id (rp : rel_pat) ~reversed
           let far =
             if r.Graph.src = src_id then r.Graph.tgt else r.Graph.src
           in
-          f r far acc)
+          f rid far acc)
         (Iset.union out_set in_set)
         acc
 
-let fold_adjacent (g : Graph.t) src_id (rp : rel_pat) ~reversed
-    (f : Graph.rel -> Value.node_id -> 'a -> 'a) (acc : 'a) : 'a =
-  match Graph.csr_view g with
-  | Some c -> fold_adjacent_csr c src_id rp ~reversed f acc
-  | None -> fold_adjacent_maps g src_id rp ~reversed f acc
-
 (** A hop's adjacency enumeration with everything resolvable per
     pattern invocation resolved up front: backend dispatch, traversal
-    direction, interned type symbols.  {!fold_adjacent} re-resolves all
-    three on every call — fine for one-off enumeration, measurable when
-    a hop is expanded from 10⁵ states.  The polymorphic field lets one
+    direction, interned type symbols — once per call, not once per node
+    expanded, which is measurable when a hop is expanded from 10⁵ states.
+    [adj] folds over (handle, far node) pairs.  A handle is the
+    backend's cheapest name for a relationship — its dense CSR index, or
+    its id on the persistent maps — resolved to an id ([rid]) or a
+    record ([rel]) on demand, so a hop that needs no relationship record
+    never touches one on the CSR.  The polymorphic field lets one
     compiled value serve any accumulator type. *)
 type adj = {
-  adj :
-    'a. Value.node_id -> (Graph.rel -> Value.node_id -> 'a -> 'a) -> 'a -> 'a;
+  adj : 'a. Value.node_id -> (int -> Value.node_id -> 'a -> 'a) -> 'a -> 'a;
+  rid : int -> Value.rel_id;
+  rel : int -> Graph.rel;
 }
 
-let compile_adjacent (g : Graph.t) (rp : rel_pat) ~reversed : adj =
+(** [compile_adjacent g rp ~reversed ~descending] compiles the
+    adjacency of [rp] — in relationship-id order, or in exactly reversed
+    order under [~descending].  Descending enumeration is CSR-only (the
+    persistent sets fold ascending only); its one caller checks for the
+    snapshot first. *)
+let compile_adjacent (g : Graph.t) (rp : rel_pat) ~reversed ~descending : adj
+    =
+  let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
   match Graph.csr_view g with
   | Some c ->
       let tymatch = compile_tymatch rp in
-      let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-      let recs = c.Graph.Csr.rel_recs in
-      {
-        adj =
-          (fun src f acc ->
-            fold_adjacent_csr_tyd c ~tymatch ~dir src
-              (fun j far acc -> f recs.(j) far acc)
-              acc);
-      }
-  | None ->
-      { adj = (fun src f acc -> fold_adjacent_maps g src rp ~reversed f acc) }
-
-(** [compile_adjacent_rev] is {!compile_adjacent} enumerating in exactly
-    reversed order — only available on the CSR backend (the persistent
-    sets fold ascending only), hence the option. *)
-let compile_adjacent_rev (g : Graph.t) (rp : rel_pat) ~reversed : adj option =
-  match Graph.csr_view g with
-  | Some c ->
-      let tymatch = compile_tymatch rp in
-      let dir = if reversed then flip rp.rp_dir else rp.rp_dir in
-      let recs = c.Graph.Csr.rel_recs in
-      Some
+      let rid j = c.Graph.Csr.rel_id.(j) and rel j = c.Graph.Csr.rel_recs.(j) in
+      if descending then
         {
           adj =
             (fun src f acc ->
-              fold_adjacent_csr_tyd_rev c ~tymatch ~dir src
-                (fun j far acc -> f recs.(j) far acc)
-                acc);
+              fold_adjacent_csr_tyd_rev c ~tymatch ~dir src f acc);
+          rid;
+          rel;
         }
-  | None -> None
+      else
+        {
+          adj =
+            (fun src f acc -> fold_adjacent_csr_tyd c ~tymatch ~dir src f acc);
+          rid;
+          rel;
+        }
+  | None when descending ->
+      Ctx.internal "compile_adjacent: descending order needs the CSR snapshot"
+  | None ->
+      {
+        adj = (fun src f acc -> fold_adjacent_maps g src rp ~reversed f acc);
+        rid = Fun.id;
+        rel = Graph.rel_exn g;
+      }
+
+(** [compile_rel_check ctx ~csr adj rp] is the per-relationship
+    predicate of [rp], over [adj]'s handles, minus whatever the
+    enumeration already guarantees: the CSR fold filters by interned
+    type symbol (for any arity of type list), the persistent one by its
+    typed adjacency when there is at most one type.  A property-free
+    pattern the enumeration covers needs no check at all, and so no
+    record. *)
+let compile_rel_check (ctx : Ctx.t) ~csr (adj : adj) (rp : rel_pat) :
+    Record.t -> int -> bool =
+  let typed = csr || List.compare_length_with rp.rp_types 1 <= 0 in
+  match rp.rp_props with
+  | [] when typed -> fun _ _ -> true
+  | _ when typed -> fun row h -> rel_props_satisfy ctx row rp (adj.rel h)
+  | _ -> fun row h -> rel_satisfies ctx row rp (adj.rel h)
 
 (** Folds over the matches of a single (non-variable-length)
     relationship step from [src_id]: states extended with the
     relationship binding, the far node id, and the traversed
-    relationship, in relationship-id order. *)
-let fold_single_rel ?(reversed = false) ?bind ?check ?adj (ctx : Ctx.t) st
-    src_id (rp : rel_pat)
-    (f : state -> Value.node_id -> Graph.rel -> 'a -> 'a) (acc : 'a) : 'a =
-  (* callers on the hot path pass binding sites, relationship checks and
-     adjacency enumeration compiled once per pattern invocation; the
-     defaults recompute them per relationship (or per state), which is
-     what the generic path always did *)
-  let bind =
-    match bind with
-    | Some b -> b
-    | None -> fun row v -> row_bind_var row rp.rp_var v
-  in
-  let check =
-    match check with
-    | Some c -> c
-    | None -> fun row r -> rel_satisfies ctx row rp r
-  in
-  let body (r : Graph.rel) far acc =
-    if not (rel_available st r.Graph.r_id) then acc
-    else if not (check st.row r) then acc
-    else
-      match bind st.row (Value.Rel r.Graph.r_id) with
-      | None -> acc
-      | Some row -> (
-          (* one state allocation for the used-set and row updates
-             together (the split use_rel-then-bind form allocated two) *)
-          match st.mode with
-          | Iso ->
-              f { st with used = Iset.add r.Graph.r_id st.used; row } far r acc
-          | Homo -> f (if row == st.row then st else { st with row }) far r acc)
-  in
-  match adj with
-  | Some a -> a.adj src_id body acc
-  | None -> fold_adjacent ctx.graph src_id rp ~reversed body acc
+    relationship's id, in relationship-id order.  The binding site, the
+    relationship check and the adjacency are compiled once per pattern
+    invocation by the caller. *)
+let fold_single_rel ~bind ~check ~(adj : adj) st src_id
+    (f : state -> Value.node_id -> Value.rel_id -> 'a -> 'a) (acc : 'a) : 'a =
+  adj.adj src_id
+    (fun h far acc ->
+      let rid = adj.rid h in
+      if not (rel_available st rid) then acc
+      else if not (check st.row h) then acc
+      else
+        match bind st.row (Value.Rel rid) with
+        | None -> acc
+        | Some row -> (
+            (* one state allocation for the used-set and row updates
+               together (the split use_rel-then-bind form allocated two) *)
+            match st.mode with
+            | Iso -> f { st with used = Iset.add rid st.used; row } far rid acc
+            | Homo ->
+                f (if row == st.row then st else { st with row }) far rid acc))
+    acc
 
-(** Matches a variable-length step: all edge-distinct walks from
-    [src_id] whose length lies within the range.  The relationship
-    variable (if any) binds to the list of traversed relationships.
-    Under [~reversed] the walk is explored from the step's right
-    endpoint but reported in the pattern's left-to-right order. *)
-let match_varlength ?(reversed = false) (ctx : Ctx.t) st src_id (rp : rel_pat)
-    lo hi : (state * Value.node_id * Graph.rel list) list =
+(** Every edge-distinct walk from [src] whose length lies within
+    [lo, hi] ([None]: unbounded), in exploration order, as its far node
+    and its relationship ids in the pattern's left-to-right order — under
+    [~reversed] the walk is explored from the step's right endpoint, so
+    the ids are reported in reverse.  A relationship extends a walk when
+    it is not on the walk yet and [available], then [check], accept it.
+    The walk's own edges stay distinct under both matching regimes, so
+    that unbounded ranges stay finite. *)
+let varlength_walks (adj : adj) ~reversed ~available ~check src lo hi :
+    (Value.node_id * Value.rel_id list) list =
   let results = ref [] in
-  (* [walk] keeps the walk's own edges distinct — under both matching
-     regimes, so that unbounded ranges stay finite *)
-  let rec explore st walk node rels_rev len =
-    if len >= lo then begin
-      let rels = if reversed then rels_rev else List.rev rels_rev in
-      results := (st, node, rels) :: !results
-    end;
+  let rec explore walk node rids_rev len =
+    if len >= lo then
+      results :=
+        (node, if reversed then rids_rev else List.rev rids_rev) :: !results;
     if match hi with Some h -> len < h | None -> true then
-      fold_adjacent ctx.graph node rp ~reversed
-        (fun (r : Graph.rel) far () ->
-          if
-            (not (Iset.mem r.Graph.r_id walk))
-            && rel_available st r.Graph.r_id
-            && rel_satisfies ctx st.row rp r
-          then
-            explore
-              (use_rel st r.Graph.r_id)
-              (Iset.add r.Graph.r_id walk)
-              far (r :: rels_rev) (len + 1))
+      adj.adj node
+        (fun h far () ->
+          let rid = adj.rid h in
+          if (not (Iset.mem rid walk)) && available rid && check h then
+            explore (Iset.add rid walk) far (rid :: rids_rev) (len + 1))
         ()
   in
-  explore st Iset.empty src_id [] 0;
+  explore Iset.empty src [] 0;
+  List.rev !results
+
+let node_value id = Value.Node id
+let rel_value id = Value.Rel id
+let rel_list rids = Value.List (List.map rel_value rids)
+
+(** Matches a variable-length step of the naive fold: each walk of
+    {!varlength_walks}, its relationships marked used and the
+    relationship variable (if any) bound to their list. *)
+let match_varlength ~adj ~check st src_id (rp : rel_pat) lo hi :
+    (state * Value.node_id * Value.rel_id list) list =
   List.filter_map
-    (fun (st, far, rels) ->
-      let rel_list =
-        Value.List (List.map (fun (r : Graph.rel) -> Value.Rel r.Graph.r_id) rels)
-      in
-      Option.map (fun st -> (st, far, rels)) (bind_var st rp.rp_var rel_list))
-    (List.rev !results)
+    (fun (far, rids) ->
+      let st = List.fold_left use_rel st rids in
+      Option.map
+        (fun st -> (st, far, rids))
+        (bind_var st rp.rp_var (rel_list rids)))
+    (varlength_walks adj ~reversed:false ~available:(rel_available st)
+       ~check:(check st.row) src_id lo hi)
 
 (** Folds [emit] over the matches of one whole path pattern left-to-right
     from state [st] — the naive enumeration: anchor on [pat_start], walk
@@ -568,12 +532,15 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
   let compiled_steps =
     List.map
       (fun (rp, np) ->
+        let adj =
+          compile_adjacent ctx.graph rp ~reversed:false ~descending:false
+        in
         ( rp,
           node_check ctx np,
           compile_row_binder st.row np.np_var,
           compile_row_binder st.row rp.rp_var,
-          compile_rel_check ctx ~csr rp,
-          compile_adjacent ctx.graph rp ~reversed:false ))
+          compile_rel_check ctx ~csr adj rp,
+          adj ))
       p.pat_steps
   in
   let rec steps st node_id nodes_rev rels_rev rest acc =
@@ -592,7 +559,7 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
           | None -> acc
           | Some st -> emit st acc)
     | (rp, check, fbind, rbind, rcheck, adj) :: rest ->
-        let far_step st far rels acc =
+        let far_step st far rids acc =
           if not (check st.row far) then acc
           else
             match fbind st.row (Value.Node far) with
@@ -602,23 +569,21 @@ let fold_pattern_naive (ctx : Ctx.t) st (p : pattern)
                 if not named then steps st far nodes_rev rels_rev rest acc
                 else
                   steps st far (far :: nodes_rev)
-                    (List.rev_append
-                       (List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels)
-                       rels_rev)
+                    (List.rev_append rids rels_rev)
                     rest acc
         in
         (match rp.rp_range with
         | None ->
-            fold_single_rel ~bind:rbind ~check:rcheck ~adj ctx st node_id rp
-              (fun st far r acc ->
-                far_step st far (if named then [ r ] else []) acc)
+            fold_single_rel ~bind:rbind ~check:rcheck ~adj st node_id
+              (fun st far rid acc ->
+                far_step st far (if named then [ rid ] else []) acc)
               acc
         | Some (lo, hi) ->
             let lo = Option.value ~default:1 lo in
             List.fold_left
-              (fun acc (st, far, rels) -> far_step st far rels acc)
+              (fun acc (st, far, rids) -> far_step st far rids acc)
               acc
-              (match_varlength ctx st node_id rp lo hi))
+              (match_varlength ~adj ~check:rcheck st node_id rp lo hi))
   in
   List.fold_left
     (fun acc (st, start_id) ->
@@ -650,456 +615,218 @@ let anchor_candidates (ctx : Ctx.t) st (plan : Plan.t) : Value.node_id list =
       keyed ctx st np label (fun _ -> true) (Graph.nodes_with_eq ctx.graph)
   | Plan.Anchor_scan -> Graph.node_ids ctx.graph
 
-exception Not_deferrable
+(** What a planned pattern emits per embedding: the extended state, for
+    a pattern the later patterns of its tuple extend; the row alone, for
+    the last pattern; or nothing at all, for a count. *)
+type _ leaf =
+  | State : (state -> 'a -> 'a) -> 'a leaf
+  | Row : (Record.t -> 'a -> 'a) -> 'a leaf
+  | Count : int leaf
 
-(** [fold_pattern_planned_deferred ctx st plan p emit acc0] is the
-    fast path of {!fold_pattern_planned}: row construction is
-    *deferred to the leaf*.  The recursion threads raw node/relationship
-    ids through per-invocation scratch arrays and builds one cell array,
-    one row and one state per *emitted* embedding — instead of a copied
-    row plus a state record per hop of every partial embedding, most of
-    which fail a later hop and are thrown away.
+(** A binding site of a planned pattern, classified once per invocation
+    in traversal order.  [Write i] is the first site of a variable whose
+    slot [i] the starting row leaves absent: it stores unconditionally.
+    Every branch that reaches a later reader of [i] passed this site
+    first, so backtracking needs no restore.  [Test i] is a variable the
+    starting row or an earlier site binds: a [Value.equal_strict] test
+    against slot [i].  [Skip] is an anonymous position, or, under a
+    counting leaf, a write nothing reads. *)
+type site = Skip | Write of int | Test of int
 
-    Applicability ([None] falls back to the eager fold):
-    - the pattern is anonymous and has no variable-length step;
-    - every pattern variable maps to a distinct, currently-absent slot of
-      the row's layout — so every eager bind would have succeeded without
-      conflict, and the leaf write-out produces the same cells;
-    - no property expression of the pattern reads a pattern variable —
-      so checking against the invocation's starting row evaluates
-      exactly as the eager fold's partial rows would.
+(** [fold_pattern_planned ~natural ctx st plan p leaf acc0] folds [leaf]
+    over the embeddings of [p] that extend [st], following [plan]: the
+    anchor's candidates first, then each hop from its already-bound side.
 
-    Under [Iso], within-pattern relationship distinctness is a linear
-    scan of the (≤ hop-count) scratch ids instead of a per-hop set
-    insert; the used-set union happens once per emitted row.  Traversal
-    order, check order and emitted rows are identical to the eager fold,
-    which is what keeps the two byte-identical through the pipeline.
+    The traversal threads raw ids — node ids by position, the ids of the
+    relationships taken so far — and one scratch copy of the starting
+    row's cells, into which each binding site writes.  A row is copied
+    from the scratch cells only at the leaf, so a partial embedding that
+    fails a later hop allocates no row.
 
-    When [emit_row] is supplied the consumer wants rows only (the last
-    pattern of a tuple): the leaf then skips the used-set union and the
-    state allocation altogether and [emit] is never called.
+    Every property expression is evaluated against the starting row.
+    That is exact because {!Plan.make} plans a pattern only when each of
+    them reads variables bound before the invocation.  Per hop the checks
+    run in the naive fold's order — relationship available, relationship
+    properties, relationship-variable bind, far-node check, far-node
+    bind — so every evaluation error is raised where the naive fold
+    raises it.  Under [Iso], within-pattern relationship distinctness is
+    a linear scan of the relationships taken so far; the used-set union
+    happens once per emitted state.  A named pattern's path lists its
+    nodes by position and its relationships by step.
 
-    Under [~natural] the whole enumeration runs in exactly *reversed*
-    traversal order — reversed anchor list, descending-id adjacency —
-    so a consumer that prepends obtains the rows in natural (forward)
-    order without a final reversal.  Requires the CSR backend (the
-    persistent adjacency sets fold ascending only) and a fully
-    property-free pattern: with no expressions to evaluate, enumeration
+    Under [~natural] the enumeration runs in exactly reversed order —
+    reversed anchor list, descending-id adjacency — so a consumer that
+    prepends obtains the rows in forward order without a final reversal.
+    The caller guarantees the CSR backend (the persistent adjacency sets
+    fold ascending only) and a pattern with no property map and no
+    variable-length step: with no expression to evaluate, enumeration
     order is unobservable except through the row order the caller is
     deliberately inverting. *)
-let fold_pattern_planned_deferred ?emit_row ?(natural = false) (ctx : Ctx.t)
-    st (plan : Plan.t) (p : pattern) (emit : state -> 'a -> 'a) (acc0 : 'a) :
-    'a option =
+let fold_pattern_planned (type a) ~natural (ctx : Ctx.t) st (plan : Plan.t)
+    (p : pattern) (leaf : a leaf) (acc0 : a) : a =
   let tab, cells0 = Record.slots_view st.row in
-  if
-    p.pat_var <> None
-    || List.exists
-         (fun (h : Plan.hop) -> h.Plan.h_rp.rp_range <> None)
-         plan.Plan.p_hops
-  then None
-  else
-    try
-      let slot_of var =
-        match var with
-        | None -> -1
-        | Some name ->
-            let i = Slots.index tab name in
-            if i < 0 || Array.unsafe_get cells0 i != Slots.absent then
-              raise Not_deferrable;
-            i
-      in
-      let anchor_slot = slot_of plan.Plan.p_anchor.np_var in
-      let hops_arr = Array.of_list plan.Plan.p_hops in
-      let n_hops = Array.length hops_arr in
-      let far_slot =
-        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_far.np_var) hops_arr
-      in
-      let rel_slot =
-        Array.map (fun (h : Plan.hop) -> slot_of h.Plan.h_rp.rp_var) hops_arr
-      in
-      let all_slots =
-        List.filter
-          (fun i -> i >= 0)
-          (anchor_slot :: (Array.to_list far_slot @ Array.to_list rel_slot))
-      in
-      if
-        List.length (List.sort_uniq Int.compare all_slots)
-        <> List.length all_slots
-      then raise Not_deferrable;
-      let pvars =
-        List.filter_map Fun.id
-          (p.pat_start.np_var
-          :: List.concat_map
-               (fun (rp, np) -> [ rp.rp_var; np.np_var ])
-               p.pat_steps)
-      in
-      let closed (_, e) =
-        List.for_all (fun v -> not (List.mem v pvars)) (expr_free_vars e)
-      in
-      if
-        not
-          (List.for_all closed plan.Plan.p_anchor.np_props
-          && Array.for_all
-               (fun (h : Plan.hop) ->
-                 List.for_all closed h.Plan.h_far.np_props
-                 && List.for_all closed h.Plan.h_rp.rp_props)
-               hops_arr)
-      then raise Not_deferrable;
-      if
-        natural
-        && not
-             (plan.Plan.p_anchor.np_props = []
-             && Array.for_all
-                  (fun (h : Plan.hop) ->
-                    h.Plan.h_far.np_props = [] && h.Plan.h_rp.rp_props = [])
-                  hops_arr)
-      then raise Not_deferrable;
-      let anchor_check = node_check ctx plan.Plan.p_anchor in
-      let csr = Graph.csr_view ctx.graph <> None in
-      let row0 = st.row in
-      let iso = st.mode = Iso in
-      let compile_adj (h : Plan.hop) =
-        if natural then
-          match
-            compile_adjacent_rev ctx.graph h.Plan.h_rp
-              ~reversed:h.Plan.h_reversed
-          with
-          | Some a -> a
-          | None -> raise Not_deferrable
-        else
-          compile_adjacent ctx.graph h.Plan.h_rp
-            ~reversed:h.Plan.h_reversed
-      in
-      let compiled =
-        Array.map
-          (fun (h : Plan.hop) ->
-            ( h,
-              node_check ctx h.Plan.h_far,
-              compile_rel_check ctx ~csr h.Plan.h_rp,
-              compile_adj h ))
-          hops_arr
-      in
-      (* the current branch's ids by hop depth; DFS writes depth [d]
-         before descending, so indices below the current depth always
-         hold this branch's ancestors *)
-      let far_ids = Array.make (max n_hops 1) 0 in
-      let rel_ids = Array.make (max n_hops 1) 0 in
-      let anchor_id = ref 0 in
-      let needed_later from_i pos =
-        let rec go j =
-          j < n_hops && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
-        in
-        go from_i
-      in
-      let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
-      let store =
-        Array.mapi
-          (fun i (h : Plan.hop) -> needed_later (i + 2) h.Plan.h_far_pos)
-          hops_arr
-      in
-      let leaf_row () =
-        let cells = Array.copy cells0 in
-        if anchor_slot >= 0 then
-          cells.(anchor_slot) <- Value.Node !anchor_id;
-        for d = 0 to n_hops - 1 do
-          if far_slot.(d) >= 0 then
-            cells.(far_slot.(d)) <- Value.Node far_ids.(d);
-          if rel_slot.(d) >= 0 then
-            cells.(rel_slot.(d)) <- Value.Rel rel_ids.(d)
-        done;
-        Record.of_slots tab cells
-      in
-      let emit_leaf =
-        match emit_row with
-        | Some f -> fun acc -> f (leaf_row ()) acc
-        | None ->
-            fun acc ->
-              let used =
-                if iso then begin
-                  let u = ref st.used in
-                  for d = 0 to n_hops - 1 do
-                    u := Iset.add rel_ids.(d) !u
-                  done;
-                  !u
-                end
-                else st.used
-              in
-              emit { row = leaf_row (); used; mode = st.mode } acc
-      in
-      let rec hops d last_pos last_id nodes_at acc =
-        if d >= n_hops then emit_leaf acc
-        else
-          let h, check, rcheck, adj = compiled.(d) in
-          let src_id =
-            if h.Plan.h_src_pos = last_pos then last_id
-            else Imap.find h.Plan.h_src_pos nodes_at
-          in
-          adj.adj src_id
-            (fun (r : Graph.rel) far acc ->
-              let rid = r.Graph.r_id in
-              let fresh =
-                (not iso)
-                || (not (Iset.mem rid st.used))
-                   &&
-                   let rec scan k =
-                     k >= d || (rel_ids.(k) <> rid && scan (k + 1))
-                   in
-                   scan 0
-              in
-              if not fresh then acc
-              else if not (rcheck row0 r) then acc
-              else if not (check row0 far) then acc
-              else begin
-                rel_ids.(d) <- rid;
-                far_ids.(d) <- far;
-                hops (d + 1) h.Plan.h_far_pos far
-                  (if store.(d) then Imap.add h.Plan.h_far_pos far nodes_at
-                   else nodes_at)
-                  acc
-              end)
-            acc
-      in
-      let anchor_pos = plan.Plan.p_anchor_pos in
-      Some
-        (List.fold_left
-           (fun acc id ->
-             if not (anchor_check row0 id) then acc
-             else begin
-               anchor_id := id;
-               hops 0 anchor_pos id
-                 (if anchor_store then Imap.singleton anchor_pos id
-                  else Imap.empty)
-                 acc
-             end)
-           acc0
-           (let cands = anchor_candidates ctx st plan in
-            if natural then List.rev cands else cands))
-    with Not_deferrable -> None
-
-(** Matches one whole path pattern following a {!Plan.t}: enumerate the
-    anchor position first, then each hop from its already-bound side.
-    Nodes and traversed relationships are collected by *position* and
-    *step index* so the final path value is assembled left-to-right
-    regardless of traversal order. *)
-let fold_pattern_planned_eager (ctx : Ctx.t) st (p : pattern) (plan : Plan.t)
-    (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
-  let anchor_check = node_check ctx plan.Plan.p_anchor in
-  let anchor_bind = compile_row_binder st.row plan.Plan.p_anchor.np_var in
-  (* the path value is only assembled when the pattern is named; an
-     anonymous pattern skips the per-step relationship bookkeeping.
-     Far-node checks, binding sites and relationship predicates are
-     compiled once per hop, not once per embedding. *)
-  let named = p.pat_var <> None in
+  let row0 = st.row in
+  let scratch = Array.copy cells0 in
+  let iso = st.mode = Iso in
   let csr = Graph.csr_view ctx.graph <> None in
-  (* The recursion threads the most recently bound position as a plain
-     (position, id) pair; the position map only receives entries some
-     *later-than-next* hop sources from (plans bind positions in hop
-     order, so nothing else ever reads it).  A chain pattern — each hop
-     leaving the previous hop's far node — therefore runs with the map
-     permanently empty.  A named pattern stores every position: path
-     assembly reads them all. *)
   let hops_arr = Array.of_list plan.Plan.p_hops in
-  let needed_later from_i pos =
-    named
-    ||
-    let n = Array.length hops_arr in
-    let rec go j =
-      j < n && (hops_arr.(j).Plan.h_src_pos = pos || go (j + 1))
+  let n_hops = Array.length hops_arr in
+  (* binding sites in traversal order: site 0 is the anchor, sites
+     2d+1 and 2d+2 hop d's relationship and far node, the last one the
+     path *)
+  let sites =
+    let rec classify seen = function
+      | [] -> []
+      | None :: rest -> Skip :: classify seen rest
+      | Some name :: rest ->
+          let i = Slots.index tab name in
+          if cells0.(i) != Slots.absent || List.mem i seen then
+            Test i :: classify seen rest
+          else Write i :: classify (i :: seen) rest
     in
-    go from_i
+    let rec unread = function
+      | [] -> []
+      | Write i :: rest when not (List.mem (Test i) rest) -> Skip :: unread rest
+      | s :: rest -> s :: unread rest
+    in
+    let sites =
+      classify []
+        ((plan.Plan.p_anchor.np_var
+         :: List.concat_map
+              (fun (h : Plan.hop) ->
+                [ h.Plan.h_rp.rp_var; h.Plan.h_far.np_var ])
+              plan.Plan.p_hops)
+        @ [ p.pat_var ])
+    in
+    Array.of_list (match leaf with Count -> unread sites | _ -> sites)
   in
-  let anchor_store = needed_later 1 plan.Plan.p_anchor_pos in
-  let compiled_hops =
-    List.mapi
-      (fun i (h : Plan.hop) ->
+  let bind site mk x =
+    match site with
+    | Skip -> true
+    | Write i ->
+        scratch.(i) <- mk x;
+        true
+    | Test i -> Value.equal_strict scratch.(i) (mk x)
+  in
+  let compiled =
+    Array.map
+      (fun (h : Plan.hop) ->
+        let adj =
+          compile_adjacent ctx.graph h.Plan.h_rp ~reversed:h.Plan.h_reversed
+            ~descending:natural
+        in
         ( h,
           node_check ctx h.Plan.h_far,
-          compile_row_binder st.row h.Plan.h_far.np_var,
-          compile_row_binder st.row h.Plan.h_rp.rp_var,
-          compile_rel_check ctx ~csr h.Plan.h_rp,
-          compile_adjacent ctx.graph h.Plan.h_rp ~reversed:h.Plan.h_reversed,
-          needed_later (i + 2) h.Plan.h_far_pos ))
-      plan.Plan.p_hops
+          compile_rel_check ctx ~csr adj h.Plan.h_rp,
+          adj ))
+      hops_arr
   in
-  let rec hops st last_pos last_id nodes_at rels_at rest acc =
-    match rest with
-    | [] ->
-        if not named then emit st acc
-        else
-          let path =
-            Value.Path
-              {
-                Value.path_nodes =
-                  List.init plan.Plan.p_positions (fun i ->
-                      Imap.find i nodes_at);
-                path_rels =
-                  List.concat_map
-                    (fun (_, rels) ->
-                      List.map (fun (r : Graph.rel) -> r.Graph.r_id) rels)
-                    (Imap.bindings rels_at);
-              }
+  let node_at = Array.make plan.Plan.p_positions 0 in
+  (* the relationships taken on the current branch, in traversal order:
+     a hop writes from index [top] on before descending, so the indices
+     below [top] always hold this branch's ancestors *)
+  let taken = ref (Array.make (max n_hops 1) 0) in
+  let take top rid =
+    if top >= Array.length !taken then begin
+      let wider = Array.make (2 * top) 0 in
+      Array.blit !taken 0 wider 0 top;
+      taken := wider
+    end;
+    !taken.(top) <- rid;
+    top + 1
+  in
+  let fresh top rid =
+    (not iso)
+    || (not (Iset.mem rid st.used))
+       &&
+       let t = !taken in
+       let rec scan k = k >= top || (t.(k) <> rid && scan (k + 1)) in
+       scan 0
+  in
+  let named = p.pat_var <> None in
+  let step_rids = Array.make (plan.Plan.p_positions - 1) [] in
+  let path () =
+    Value.Path
+      {
+        Value.path_nodes = Array.to_list node_at;
+        path_rels = List.concat (Array.to_list step_rids);
+      }
+  in
+  let emit : int -> a -> a =
+    match leaf with
+    | Count -> fun _ n -> n + 1
+    | Row f -> fun _ acc -> f (Record.of_slots tab (Array.copy scratch)) acc
+    | State f ->
+        fun top acc ->
+          let used =
+            if iso then begin
+              let u = ref st.used in
+              for k = 0 to top - 1 do
+                u := Iset.add !taken.(k) !u
+              done;
+              !u
+            end
+            else st.used
           in
-          (match bind_var st p.pat_var path with
-          | None -> acc
-          | Some st -> emit st acc)
-    | ((h : Plan.hop), check, fbind, rbind, rcheck, adj, store) :: rest ->
-        let src_id =
-          if h.Plan.h_src_pos = last_pos then last_id
-          else Imap.find h.Plan.h_src_pos nodes_at
-        in
-        let reversed = h.Plan.h_reversed in
-        let far_step st far rels acc =
-          if not (check st.row far) then acc
-          else
-            match fbind st.row (Value.Node far) with
-            | None -> acc
-            | Some row ->
-                let st = if row == st.row then st else { st with row } in
-                hops st h.Plan.h_far_pos far
-                  (if store then Imap.add h.Plan.h_far_pos far nodes_at
-                   else nodes_at)
-                  (if named then Imap.add h.Plan.h_step rels rels_at
-                   else rels_at)
-                  rest acc
-        in
-        (match h.Plan.h_rp.rp_range with
-        | None ->
-            fold_single_rel ~reversed ~bind:rbind ~check:rcheck ~adj ctx st
-              src_id h.Plan.h_rp
-              (fun st far r acc ->
-                far_step st far (if named then [ r ] else []) acc)
-              acc
-        | Some (lo, hi) ->
-            let lo = Option.value ~default:1 lo in
-            List.fold_left
-              (fun acc (st, far, rels) -> far_step st far rels acc)
-              acc
-              (match_varlength ~reversed ctx st src_id h.Plan.h_rp lo hi))
+          f
+            {
+              row = Record.of_slots tab (Array.copy scratch);
+              used;
+              mode = st.mode;
+            }
+            acc
   in
+  let path_site = sites.((2 * n_hops) + 1) in
+  let rec hops d top acc =
+    if d = n_hops then if bind path_site path () then emit top acc else acc
+    else
+      let h, check, rcheck, adj = compiled.(d) in
+      let rsite = sites.((2 * d) + 1) and fsite = sites.((2 * d) + 2) in
+      let far_step far top acc =
+        if check row0 far && bind fsite node_value far then begin
+          node_at.(h.Plan.h_far_pos) <- far;
+          hops (d + 1) top acc
+        end
+        else acc
+      in
+      let src = node_at.(h.Plan.h_src_pos) in
+      match h.Plan.h_rp.rp_range with
+      | None ->
+          adj.adj src
+            (fun hd far acc ->
+              let rid = adj.rid hd in
+              if fresh top rid && rcheck row0 hd && bind rsite rel_value rid
+              then begin
+                if named then step_rids.(h.Plan.h_step) <- [ rid ];
+                far_step far (take top rid) acc
+              end
+              else acc)
+            acc
+      | Some (lo, hi) ->
+          List.fold_left
+            (fun acc (far, rids) ->
+              if bind rsite rel_list rids then begin
+                if named then step_rids.(h.Plan.h_step) <- rids;
+                far_step far (List.fold_left take top rids) acc
+              end
+              else acc)
+            acc
+            (varlength_walks adj ~reversed:h.Plan.h_reversed
+               ~available:(fresh top) ~check:(rcheck row0) src
+               (Option.value ~default:1 lo) hi)
+  in
+  let anchor_check = node_check ctx plan.Plan.p_anchor in
   let anchor_pos = plan.Plan.p_anchor_pos in
+  let cands = anchor_candidates ctx st plan in
   List.fold_left
     (fun acc id ->
-      if not (anchor_check st.row id) then acc
-      else
-        match anchor_bind st.row (Value.Node id) with
-        | None -> acc
-        | Some row ->
-            let st = if row == st.row then st else { st with row } in
-            hops st anchor_pos id
-              (if anchor_store then Imap.singleton anchor_pos id
-               else Imap.empty)
-              Imap.empty compiled_hops acc)
+      if anchor_check row0 id && bind sites.(0) node_value id then begin
+        node_at.(anchor_pos) <- id;
+        hops 0 0 acc
+      end
+      else acc)
     acc0
-    (anchor_candidates ctx st plan)
-
-(** [emit_row], when supplied, replaces [emit] with a row-only consumer
-    (the callee may then skip per-embedding state bookkeeping — the
-    deferred fold does; the eager fold just adapts). *)
-let fold_pattern_planned ?emit_row (ctx : Ctx.t) st (p : pattern)
-    (plan : Plan.t) (emit : state -> 'a -> 'a) (acc0 : 'a) : 'a =
-  let emit =
-    match emit_row with Some f -> fun st acc -> f st.row acc | None -> emit
-  in
-  match fold_pattern_planned_deferred ?emit_row ctx st plan p emit acc0 with
-  | Some acc -> acc
-  | None -> fold_pattern_planned_eager ctx st p plan emit acc0
-
-(** [count_pattern_planned ctx st p plan] is
-    [fold_pattern_planned ctx st p plan (fun _ n -> n + 1) 0] with one
-    extra specialisation: on a final single-relationship anonymous hop of
-    an anonymous pattern, matching relationships are counted in place.
-    The state [far_step] would build there — relationship marked used,
-    far variable bound, a fresh record — is dead at the leaf, so only
-    the *checks* run (availability, relationship predicates, far-node
-    check, conflicting-rebind test), in exactly the generic path's
-    evaluation order.  Only sound for the last pattern of a MATCH tuple:
-    an earlier pattern's used-set is consulted by the patterns after it. *)
-let count_pattern_planned (ctx : Ctx.t) st (p : pattern) (plan : Plan.t) : int
-    =
-  if p.pat_var <> None then
-    fold_pattern_planned ctx st p plan (fun _ n -> n + 1) 0
-  else
-    let anchor_check = node_check ctx plan.Plan.p_anchor in
-    let compiled_hops =
-      List.map
-        (fun (h : Plan.hop) -> (h, node_check ctx h.Plan.h_far))
-        plan.Plan.p_hops
-    in
-    let rec hops st nodes_at rest acc =
-      match rest with
-      | [] -> acc + 1
-      | [ ((h : Plan.hop), check) ]
-        when h.Plan.h_rp.rp_range = None && h.Plan.h_rp.rp_var = None ->
-          (* final hop: count matching relationships without committing
-             the extension *)
-          let src_id = Imap.find h.Plan.h_src_pos nodes_at in
-          let rp = h.Plan.h_rp in
-          let far_var = h.Plan.h_far.np_var in
-          (match Graph.csr_view ctx.graph with
-          | Some c when rp.rp_props = [] ->
-              (* record-free on the compact backend: the slice's type
-                 filter subsumes [rel_satisfies] when the pattern has no
-                 property map, and the used-set test reads the id from
-                 the [rel_id] arena — the innermost loop touches only
-                 int arrays *)
-              fold_adjacent_csr_idx c src_id rp ~reversed:h.Plan.h_reversed
-                (fun j far acc ->
-                  if
-                    rel_available st c.Graph.Csr.rel_id.(j)
-                    && check st.row far
-                    && bind_check st far_var (Value.Node far)
-                  then acc + 1
-                  else acc)
-                acc
-          | _ ->
-              fold_adjacent ctx.graph src_id rp ~reversed:h.Plan.h_reversed
-                (fun (r : Graph.rel) far acc ->
-                  if
-                    rel_available st r.Graph.r_id
-                    && rel_satisfies ctx st.row rp r
-                    && check st.row far
-                    && bind_check st far_var (Value.Node far)
-                  then acc + 1
-                  else acc)
-                acc)
-      | ((h : Plan.hop), check) :: rest ->
-          let src_id = Imap.find h.Plan.h_src_pos nodes_at in
-          let far_step st far acc =
-            match
-              if check st.row far then
-                bind_var st h.Plan.h_far.np_var (Value.Node far)
-              else None
-            with
-            | None -> acc
-            | Some st -> hops st (Imap.add h.Plan.h_far_pos far nodes_at) rest acc
-          in
-          (match h.Plan.h_rp.rp_range with
-          | None ->
-              fold_single_rel ~reversed:h.Plan.h_reversed ctx st src_id
-                h.Plan.h_rp
-                (fun st far _r acc -> far_step st far acc)
-                acc
-          | Some (lo, hi) ->
-              let lo = Option.value ~default:1 lo in
-              List.fold_left
-                (fun acc (st, far, _rels) -> far_step st far acc)
-                acc
-                (match_varlength ~reversed:h.Plan.h_reversed ctx st src_id
-                   h.Plan.h_rp lo hi))
-    in
-    let starts =
-      List.filter_map
-        (fun id ->
-          if anchor_check st.row id then
-            Option.map
-              (fun st -> (st, Imap.singleton plan.Plan.p_anchor_pos id))
-              (bind_var st plan.Plan.p_anchor.np_var (Value.Node id))
-          else None)
-        (anchor_candidates ctx st plan)
-    in
-    List.fold_left
-      (fun acc (st, nodes_at) -> hops st nodes_at compiled_hops acc)
-      0 starts
+    (if natural then List.rev cands else cands)
 
 (** The starting state of a match over [patterns]: the context row
     widened over every pattern variable it lacks ({!Record.widen}), so
@@ -1112,6 +839,14 @@ let init_state (ctx : Ctx.t) mode patterns =
     used = Iset.empty;
     mode;
   }
+
+(** The plan of pattern [i] of a tuple: its hint when [hints] has one
+    ([Some None] forces naive enumeration), else per-row planning when
+    the planner is on. *)
+let plan_for ~planner (ctx : Ctx.t) hints i st p =
+  match List.nth_opt hints i with
+  | Some hint -> hint
+  | None -> if planner then Plan.make ctx st.row p else None
 
 (** [match_patterns ?mode ?planner ?plans ctx patterns] computes all
     extensions of the context row that embed every pattern; under the
@@ -1136,36 +871,32 @@ let match_patterns_rev ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
   Graph.ensure_csr ctx.graph;
   let init = init_state ctx mode patterns in
   let hints = Option.value ~default:[] plans in
-  let plan_with hint st p =
-    match hint with
-    | Some hint -> hint (* [Some None] forces naive enumeration *)
-    | None -> if planner then Plan.make ctx st.row p else None
-  in
   (* each embedding of a pattern recurses straight into the remaining
      patterns (the order {!count_patterns} also follows); the final
-     pattern emits result rows directly — through the row-only leaf when
+     pattern emits result rows directly — through the row leaf when
      planned, which skips the per-embedding state bookkeeping nothing
      will read — so no intermediate state list is ever materialised.
      At 10⁵-row matches this saves several full list traversals. *)
-  let emit_last row acc = row :: acc in
   let rec go st i rest acc =
     match rest with
     | [] ->
-        (* unreachable while the [patterns = []] guard above holds; a
-           structured error keeps a server process alive if it breaks *)
+        (* unreachable: the empty tuple is answered below, before the
+           fold starts; a structured error keeps a server process alive
+           if that ever changes *)
         Ctx.internal "match_patterns_rev: empty pattern list reached the fold"
     | [ p ] -> (
-        match plan_with (List.nth_opt hints i) st p with
+        match plan_for ~planner ctx hints i st p with
         | Some plan ->
-            fold_pattern_planned ~emit_row:emit_last ctx st p plan
-              (fun st acc -> st.row :: acc)
+            fold_pattern_planned ~natural:false ctx st plan p
+              (Row (fun row acc -> row :: acc))
               acc
         | None ->
             fold_pattern_naive ctx st p (fun st acc -> st.row :: acc) acc)
     | p :: rest -> (
         let emit st acc = go st (i + 1) rest acc in
-        match plan_with (List.nth_opt hints i) st p with
-        | Some plan -> fold_pattern_planned ctx st p plan emit acc
+        match plan_for ~planner ctx hints i st p with
+        | Some plan ->
+            fold_pattern_planned ~natural:false ctx st plan p (State emit) acc
         | None -> fold_pattern_naive ctx st p emit acc)
   in
   match patterns with [] -> [ init.row ] | _ -> go init 0 patterns []
@@ -1174,44 +905,49 @@ let match_patterns ?mode ?planner ?plans (ctx : Ctx.t)
     (patterns : pattern list) : Record.t list =
   List.rev (match_patterns_rev ?mode ?planner ?plans ctx patterns)
 
-(** [match_patterns_natural ?mode ?plans ctx patterns] attempts the
-    fully-inverted enumeration: a single planned pattern run in
-    *reversed* traversal order (descending-id CSR adjacency, reversed
-    anchor list) with prepend accumulation, so the returned list is
-    already in natural (forward) order — the whole match costs exactly
-    one list spine, with no final reversal and no consistency
-    projection needed downstream.  [None] when the shape doesn't
-    qualify (several patterns, no plan, property predicates,
-    persistent backend, ...) — the caller falls back to
-    {!match_patterns_rev}. *)
+(** Does a plan qualify for natural-order enumeration: no property map
+    anywhere (nothing to evaluate, so enumeration order is unobservable)
+    and no variable-length step? *)
+let natural_ok (plan : Plan.t) =
+  plan.Plan.p_anchor.np_props = []
+  && List.for_all
+       (fun (h : Plan.hop) ->
+         h.Plan.h_far.np_props = []
+         && h.Plan.h_rp.rp_props = []
+         && h.Plan.h_rp.rp_range = None)
+       plan.Plan.p_hops
+
+(** [match_patterns_natural ?mode ?planner ?plans ctx patterns] runs a
+    single planned pattern through {!fold_pattern_planned} in natural
+    order, with prepend accumulation, so the returned list is already in
+    forward order — the whole match costs exactly one list spine, with no
+    final reversal and no consistency projection needed downstream.
+    [None] when the shape doesn't qualify (several patterns, no plan, a
+    property map, a variable-length step, the persistent backend) — the
+    caller falls back to {!match_patterns_rev}. *)
 let match_patterns_natural ?(mode = Iso) ?(planner = false) ?plans
     (ctx : Ctx.t) (patterns : pattern list) : Record.t list option =
   match patterns with
   | [ p ] -> (
       Graph.ensure_csr ctx.graph;
       let init = init_state ctx mode patterns in
-      let hint =
-        match plans with Some (h :: _) -> Some h | _ -> None
-      in
-      let plan =
-        match hint with
-        | Some hint -> hint
-        | None -> if planner then Plan.make ctx init.row p else None
-      in
-      match plan with
-      | None -> None
-      | Some plan ->
-          fold_pattern_planned_deferred
-            ~emit_row:(fun row acc -> row :: acc)
-            ~natural:true ctx init plan p
-            (fun st acc -> st.row :: acc)
-            [])
+      match
+        plan_for ~planner ctx (Option.value ~default:[] plans) 0 init p
+      with
+      | Some plan when Graph.csr_view ctx.graph <> None && natural_ok plan ->
+          Some
+            (fold_pattern_planned ~natural:true ctx init plan p
+               (Row (fun row acc -> row :: acc))
+               [])
+      | _ -> None)
   | _ -> None
 
 (** [count_patterns ?mode ?planner ?plans ctx patterns] is
     [List.length (match_patterns ... )] without materialising any state
     list: each pattern's embeddings are folded over directly, recursing
-    into the remaining patterns per embedding.  Traversal (and therefore
+    into the remaining patterns per embedding, and the last pattern's
+    embeddings are counted where they are found — a planned one through
+    the counting leaf, which builds no row.  Traversal (and therefore
     any error raised by a property expression) follows exactly the order
     of {!match_patterns}.  The engine uses this to fuse
     [MATCH ... RETURN count( * )] — at 10⁵+ embeddings the dominant cost
@@ -1224,34 +960,17 @@ let count_patterns ?(mode = Iso) ?(planner = false) ?plans (ctx : Ctx.t)
   let hints = Option.value ~default:[] plans in
   let rec count st i = function
     | [] -> 1
-    | p :: rest ->
-        let plan_for =
-          match List.nth_opt hints i with
-          | Some hint -> hint (* [Some None] forces naive enumeration *)
-          | None -> if planner then Plan.make ctx st.row p else None
-        in
-        let last = rest = [] in
-        (match plan_for with
-        | Some plan ->
-            if last then count_pattern_planned ctx st p plan
-            else
-              fold_pattern_planned ctx st p plan
-                (fun st' n -> n + count st' (i + 1) rest)
-                0
-        | None ->
-            if last then fold_pattern_naive ctx st p (fun _ n -> n + 1) 0
-            else
-              fold_pattern_naive ctx st p
-                (fun st' n -> n + count st' (i + 1) rest)
-                0)
+    | p :: rest -> (
+        let emit st' n = n + count st' (i + 1) rest in
+        match (plan_for ~planner ctx hints i st p, rest) with
+        | Some plan, [] ->
+            fold_pattern_planned ~natural:false ctx st plan p Count 0
+        | Some plan, _ ->
+            fold_pattern_planned ~natural:false ctx st plan p (State emit) 0
+        | None, [] -> fold_pattern_naive ctx st p (fun _ n -> n + 1) 0
+        | None, _ -> fold_pattern_naive ctx st p emit 0)
   in
   count init 0 patterns
-
-(** [matches ?mode ?planner ctx patterns] decides (p, G, u) ⊨ π: is
-    there at least one embedding?  Used by MERGE to split the driving
-    table. *)
-let matches ?mode ?planner ctx patterns =
-  match_patterns ?mode ?planner ctx patterns <> []
 
 (* ------------------------------------------------------------------ *)
 (* Shortest paths                                                     *)
@@ -1305,7 +1024,7 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
          search runs in CSR dense-index space: visited levels and
          predecessor lists are flat arrays over the node count, the
          frontier queue holds dense indices, and the adjacency fold is
-         the record-free {!fold_adjacent_csr_idx} — a relationship
+         the record-free {!fold_adjacent_csr_tyd} — a relationship
          record is only fetched when the pattern carries property
          predicates.  Discovery order (id-sorted slices, FIFO frontier,
          same predecessor cons order) matches the map path exactly, so
@@ -1379,13 +1098,17 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
               | Some depth when tgt_i >= 0 -> walks_to tgt_i depth []
               | _ -> [])
         | None ->
-            let preds : (int, (Graph.rel * int) list) Hashtbl.t =
+            let preds : (int, (Value.rel_id * int) list) Hashtbl.t =
               Hashtbl.create 16
             in
             let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
             Hashtbl.replace level src 0;
             let queue = Queue.create () in
             Queue.add src queue;
+            let adj =
+              compile_adjacent ctx.graph rp ~reversed:false ~descending:false
+            in
+            let check = compile_rel_check ctx ~csr:false adj rp ctx.row in
             let found_depth = ref None in
             let expand_from depth =
               (match !found_depth with Some d -> depth < d | None -> true)
@@ -1395,17 +1118,18 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
               let node = Queue.pop queue in
               let depth = Hashtbl.find level node in
               if expand_from depth then
-                fold_adjacent ctx.graph node rp ~reversed:false
-                  (fun (r : Graph.rel) far () ->
-                    if rel_satisfies ctx ctx.row rp r then begin
+                adj.adj node
+                  (fun h far () ->
+                    if check h then begin
+                      let rid = adj.rid h in
                       (match Hashtbl.find_opt level far with
                       | None ->
                           Hashtbl.replace level far (depth + 1);
-                          Hashtbl.replace preds far [ (r, node) ];
+                          Hashtbl.replace preds far [ (rid, node) ];
                           Queue.add far queue
                       | Some d when d = depth + 1 ->
                           Hashtbl.replace preds far
-                            ((r, node) :: Hashtbl.find preds far)
+                            ((rid, node) :: Hashtbl.find preds far)
                       | Some _ -> ());
                       if far = tgt && depth + 1 >= lo && !found_depth = None
                       then found_depth := Some (depth + 1)
@@ -1422,9 +1146,9 @@ let shortest_paths (ctx : Ctx.t) ~all (p : pattern) : Value.t =
               if depth = 0 then if node = src then [ suffix ] else []
               else
                 List.concat_map
-                  (fun ((r : Graph.rel), prev) ->
+                  (fun (rid, prev) ->
                     if Hashtbl.find_opt level prev = Some (depth - 1) then
-                      walks_to prev (depth - 1) (r.Graph.r_id :: suffix)
+                      walks_to prev (depth - 1) (rid :: suffix)
                     else [])
                   (match Hashtbl.find_opt preds node with
                   | Some l -> l

@@ -53,16 +53,17 @@ val match_patterns_rev :
   pattern list ->
   Record.t list
 
-(** [match_patterns_natural ?mode ?planner ?plans ctx patterns] is the
-    fully-inverted enumeration: a single planned pattern run in
-    reversed traversal order with prepend accumulation, returning rows
-    already in natural (forward) order — one list spine for the whole
-    match, no final reversal.  The rows are complete slot rows over the
-    invocation layout, so the engine may adopt them without a
-    consistency projection ({!Cypher_table.Table.of_consistent}).
-    [None] when the shape doesn't qualify (several patterns, no plan,
-    property predicates, persistent backend); callers fall
-    back to {!match_patterns_rev}. *)
+(** [match_patterns_natural ?mode ?planner ?plans ctx patterns] runs a
+    single planned pattern through the planned traversal in reversed
+    order with prepend accumulation, returning rows already in natural
+    (forward) order — one list spine for the whole match, no final
+    reversal.  The rows are complete slot rows over the invocation
+    layout, so the engine may adopt them without a consistency
+    projection ({!Cypher_table.Table.of_consistent}).  [None] when the
+    shape doesn't qualify: several patterns, no plan, a property map, a
+    variable-length step, or the persistent backend (whose adjacency
+    folds ascending only); callers fall back to {!match_patterns_rev}.
+    Bound, repeated and path variables qualify. *)
 val match_patterns_natural :
   ?mode:mode ->
   ?planner:bool ->
@@ -73,9 +74,12 @@ val match_patterns_natural :
 
 (** [count_patterns ?mode ?planner ?plans ctx patterns] is
     [List.length (match_patterns ...)] without materialising any row:
-    embeddings are folded over and counted in place, in the same
-    traversal order.  Used by the engine to fuse
-    [MATCH ... RETURN count( * )] projections. *)
+    embeddings are folded over in the same traversal order, so any
+    evaluation error is the one {!match_patterns} raises, and the last
+    pattern's embeddings are counted where they are found.  A planned
+    last pattern runs the planned traversal with its counting leaf,
+    which checks every binding but builds no row or state.  Used by the
+    engine to fuse [MATCH ... RETURN count( * )] projections. *)
 val count_patterns :
   ?mode:mode ->
   ?planner:bool ->
@@ -83,12 +87,6 @@ val count_patterns :
   Cypher_eval.Ctx.t ->
   pattern list ->
   int
-
-(** [matches ?mode ?planner ctx patterns] decides (p, G, u) ⊨ π: is
-    there at least one embedding?  Used by MERGE to split the driving
-    table. *)
-val matches :
-  ?mode:mode -> ?planner:bool -> Cypher_eval.Ctx.t -> pattern list -> bool
 
 (** [shortest_paths ctx ~all pattern] evaluates
     [shortestPath((a)-[:T*]->(b))] (and [allShortestPaths]): a BFS over

@@ -56,11 +56,11 @@ let make_rev columns rows_rev =
 
 (** [of_consistent columns rows] adopts [rows] as-is — no per-row
     consistency projection.  Trusted constructor for engine-internal
-    producers that already guarantee every row binds exactly [columns]
-    (the matcher's natural-order slot path, whose rows all share the
-    layout compiled from these very columns).  [columns] must already
-    be duplicate-free. *)
-let of_consistent columns rows = { columns; rows }
+    producers that already guarantee every row binds exactly the
+    duplicate-free [columns] (the matcher's natural-order slot path,
+    whose rows all share the layout compiled from these very columns;
+    a bound or repeated pattern variable repeats a column there). *)
+let of_consistent columns rows = { columns = dedup_columns columns; rows }
 
 (** [of_rows rows] infers the column set as the union of all keys. *)
 let of_rows rows =

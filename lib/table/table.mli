@@ -34,7 +34,7 @@ val make_rev : string list -> Record.t list -> t
 (** [of_consistent columns rows] adopts [rows] without the per-row
     consistency projection of {!make}.  Trusted, engine-only: the
     caller must guarantee every row binds exactly [columns] (in that
-    order) and that [columns] is duplicate-free — the matcher's
+    order, first occurrence winning on duplicates) — the matcher's
     natural-order slot path is the intended producer. *)
 val of_consistent : string list -> Record.t list -> t
 

@@ -291,8 +291,8 @@ let parallelism_checks =
    planner setting and shared by both physical backends: table bytes in
    full, graph bytes as the MD5 digest of [Graph.to_string] (each graph
    prints ~170 lines).  Row order is not fixed by the semantics, so
-   nothing else holds the matcher's enumeration variants (eager,
-   deferred, natural-order) to it. *)
+   nothing else holds the matcher's enumerations (the naive fold, the
+   planned traversal forward and in natural order) to it. *)
 let pinned_checks =
   let expected = Test_util.golden "rows_golden.expected" in
   let settings =

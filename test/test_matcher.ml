@@ -252,4 +252,118 @@ let naive_tests =
           [ Config.Forward; Config.Reverse; Config.Seeded 7; Config.Seeded 2026 ]);
   ]
 
-let suite = suite @ bucket_tests @ naive_tests
+(* --- the planned traversal against the naive reference -------------- *)
+
+(* two :A and three :B nodes, so the planner anchors on :A and walks
+   some hops right-to-left; a self-loop and one :S relationship *)
+let shapes_graph () =
+  graph_of
+    "CREATE (a1:A {k: 1, id: 1}), (a2:A {k: 2, id: 2}), (b1:B {k: 1, id: 3}), \
+     (b2:B {k: 2, id: 4}), (b3:B {k: 1, id: 5}), (a1)-[:R]->(b1), \
+     (a1)-[:R]->(b2), (a2)-[:R]->(b2), (a2)-[:R]->(b3), (b1)-[:R]->(a1), \
+     (b2)-[:R]->(a2), (b3)-[:S]->(b1), (b1)-[:R]->(b1)"
+
+(* (name, reading part, projected columns): the shapes whose variables
+   a planned pattern binds with a test, not a plain write *)
+let planned_shapes =
+  [
+    ("named path", "MATCH p = (x:B)-[:R]->(y:A)-[:R]->(z)", "p, x, y, z");
+    ("named var-length path", "MATCH p = (x:B)-[rs:R*1..2]->(y:A)", "p, rs, x, y");
+    ("repeated node variable", "MATCH (x)-[:R]->(y:A)-[:R]->(x)", "*");
+    ( "repeated relationship variable",
+      "MATCH (x:A)-[r:R]->(y)<-[r]-(z)",
+      "x, r, y, z" );
+    ("bound far variable", "MATCH (x:B), (y:A) MATCH (x)-[:R]->(y)", "x, y");
+    ( "far variable bound earlier in the tuple",
+      "MATCH (y:A), (x:B)-[:R]->(y)",
+      "x, y" );
+    ( "far variable bound to null",
+      "MATCH (x:A) OPTIONAL MATCH (x)-[:S]->(n) MATCH (x)-[:R]->(y)-[:R]->(n)",
+      "x, y, n" );
+    ( "var-length step with a relationship variable",
+      "MATCH (x:A)-[rs:R*1..2]->(y:B)",
+      "x, rs, y" );
+    ( "planned property reading a bound variable",
+      "MATCH (a:A) MATCH (a)-[:R]->(b {k: a.k})",
+      "a, b" );
+  ]
+
+let regimes =
+  List.concat_map
+    (fun (mname, mode) ->
+      List.map
+        (fun (bname, backend) ->
+          ( mname ^ "/" ^ bname,
+            Config.with_backend backend (Config.with_match_mode mode Config.revised) ))
+        [ ("persistent", `Persistent); ("compact", `Compact) ])
+    [ ("iso", Config.Isomorphic); ("homo", Config.Homomorphic) ]
+
+let bag t = List.sort Cypher_table.Record.compare (Table.rows t)
+
+let planned_tests =
+  [
+    case "planned shapes: planner-on rows and counts equal the naive fold's"
+      (fun () ->
+        let g = shapes_graph () in
+        List.iter
+          (fun (rname, config) ->
+            List.iter
+              (fun (sname, reading, cols) ->
+                let name = rname ^ " " ^ sname in
+                let rows_q = reading ^ " RETURN " ^ cols in
+                let on = run_table ~config g rows_q in
+                let off =
+                  run_table ~config:(Config.with_planner Config.Off config) g rows_q
+                in
+                Alcotest.(check (list string)) (name ^ " columns")
+                  (Table.columns off) (Table.columns on);
+                Alcotest.(check (list record_testable)) (name ^ " rows")
+                  (bag off) (bag on);
+                check_value (name ^ " fused count")
+                  (vint (Table.row_count on))
+                  (first_cell
+                     (run_table ~config g (reading ^ " RETURN count(*) AS n"))))
+              planned_shapes)
+          regimes);
+    case "the shapes produce rows (the comparison is not vacuous)" (fun () ->
+        let g = shapes_graph () in
+        List.iter
+          (fun (sname, n) ->
+            let reading, cols =
+              match List.find (fun (s, _, _) -> s = sname) planned_shapes with
+              | _, r, c -> (r, c)
+            in
+            check_rows sname n (run_table g (reading ^ " RETURN " ^ cols)))
+          [
+            ("named path", 4);
+            ("repeated node variable", 2);
+            ("bound far variable", 2);
+            ("far variable bound to null", 0);
+            ("var-length step with a relationship variable", 5);
+            ("planned property reading a bound variable", 2);
+          ]);
+    case "a relationship-variable conflict prunes before a far-node property"
+      (fun () ->
+        (* the far node's property raises when evaluated; a hop whose
+           relationship conflicts with the bound [r] never reaches it *)
+        let g = shapes_graph () in
+        List.iter
+          (fun (rname, config) ->
+            List.iter
+              (fun config ->
+                check_rows (rname ^ " pruned") 0
+                  (run_table ~config g
+                     "MATCH ()-[r:S]->() MATCH (a:A {id: 1})-[r]->(b {k: 1 / 0}) \
+                      RETURN b");
+                let e =
+                  run_err ~config g
+                    "MATCH (a:A {id: 1})-[r:R]->(:B {id: 3}) MATCH \
+                     (a)-[r]->(b {k: 1 / 0}) RETURN b"
+                in
+                Alcotest.(check bool) (rname ^ " raised") true
+                  (contains_substring (Cypher_core.Errors.to_string e) "division by zero"))
+              [ config; Config.with_planner Config.Off config ])
+          regimes);
+  ]
+
+let suite = suite @ bucket_tests @ naive_tests @ planned_tests
